@@ -17,7 +17,6 @@
  * for the gate.
  */
 
-#include <chrono>
 #include <iostream>
 #include <vector>
 
@@ -102,12 +101,10 @@ main(int argc, char **argv)
     }
     for (int rep = 0; rep < reps; ++rep) {
         for (std::size_t i = 0; i < sims.size(); ++i) {
-            const auto t0 = std::chrono::steady_clock::now();
-            variants[i].es = sims[i].run(*arq).meanES;
-            const auto t1 = std::chrono::steady_clock::now();
             variants[i].seconds = std::min(
-                variants[i].seconds,
-                std::chrono::duration<double>(t1 - t0).count());
+                variants[i].seconds, secondsOnce([&] {
+                    variants[i].es = sims[i].run(*arq).meanES;
+                }));
         }
     }
 

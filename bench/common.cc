@@ -5,6 +5,8 @@
 
 #include "common.hh"
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -156,6 +158,24 @@ entropyVsCores(const std::string &strategy,
                          results[i].meanES});
     }
     return curve;
+}
+
+double
+secondsOnce(const std::function<void()> &fn)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    const auto t1 = std::chrono::steady_clock::now();
+    return std::chrono::duration<double>(t1 - t0).count();
+}
+
+double
+secondsOfN(const std::function<void()> &fn, int reps)
+{
+    double best = 1e300;
+    for (int rep = 0; rep < reps; ++rep)
+        best = std::min(best, secondsOnce(fn));
+    return best;
 }
 
 std::string

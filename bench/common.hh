@@ -107,6 +107,15 @@ entropyVsCores(const std::string &strategy,
                const apps::AppProfile &be_app,
                double xapian_load = 0.2);
 
+/** Wall seconds of one call of fn. */
+double secondsOnce(const std::function<void()> &fn);
+
+/**
+ * Best-of-N wall seconds of fn: the minimum keeps scheduler jitter
+ * out of the trajectory.
+ */
+double secondsOfN(const std::function<void()> &fn, int reps = 3);
+
 /** Format a double for tables (shortcut). */
 std::string num(double v, int precision = 3);
 

@@ -11,7 +11,6 @@
  * revisions against (see EXPERIMENTS.md).
  */
 
-#include <chrono>
 #include <iostream>
 
 #include "common.hh"
@@ -26,27 +25,6 @@ using namespace ahq::bench;
 
 namespace
 {
-
-/** Best-of-N wall seconds, like parallel_scaling. */
-double
-secondsOfN(const std::function<void()> &fn, int reps)
-{
-    double best = 1e300;
-    for (int rep = 0; rep < reps; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now();
-        fn();
-        const auto t1 = std::chrono::steady_clock::now();
-        best = std::min(
-            best, std::chrono::duration<double>(t1 - t0).count());
-    }
-    return best;
-}
-
-double
-secondsOf(const std::function<void()> &fn)
-{
-    return secondsOfN(fn, 3);
-}
 
 /** Fig. 12's 6 LC + 2 BE colocation. */
 cluster::Node
@@ -116,7 +94,7 @@ main(int argc, char **argv)
                    const cluster::SimulationConfig &c,
                    const std::string &strategy,
                    const std::string &config) {
-        const double s = secondsOf([&] {
+        const double s = secondsOfN([&] {
             const auto r = runScenario(strategy, n, c);
             if (r.epochs.empty())
                 std::cerr << "empty run\n"; // keep r observable
@@ -180,16 +158,11 @@ main(int argc, char **argv)
         double s_plain = 1e300, s_off = 1e300, s = 1e300;
         auto timeOne = [&](const cluster::SimulationConfig &c,
                            double &best) {
-            const auto t0 = std::chrono::steady_clock::now();
-            {
+            best = std::min(best, secondsOnce([&] {
                 const auto r = runScenario("ARQ", node, c);
                 if (r.epochs.empty())
                     std::cerr << "empty run\n";
-            }
-            const auto t1 = std::chrono::steady_clock::now();
-            best = std::min(
-                best,
-                std::chrono::duration<double>(t1 - t0).count());
+            }));
         };
         for (int rep = 0; rep < 20; ++rep) {
             timeOne(long_cfg, s_plain);
@@ -242,7 +215,7 @@ main(int argc, char **argv)
     // across all nodes (runs on the global pool, byte-identical at
     // any thread count).
     {
-        const double s = secondsOf([&] {
+        const double s = secondsOfN([&] {
             cluster::Fleet fleet;
             for (int i = 0; i < 4; ++i)
                 fleet.addNode(node, sched::makeScheduler("ARQ"));

@@ -11,8 +11,6 @@
  * for the `ctest -L perf` gate.
  */
 
-#include <chrono>
-#include <functional>
 #include <iostream>
 
 #include "common.hh"
@@ -25,20 +23,6 @@ using namespace ahq::bench;
 
 namespace
 {
-
-double
-secondsOfN(const std::function<void()> &fn, int reps)
-{
-    double best = 1e300;
-    for (int rep = 0; rep < reps; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now();
-        fn();
-        const auto t1 = std::chrono::steady_clock::now();
-        best = std::min(
-            best, std::chrono::duration<double>(t1 - t0).count());
-    }
-    return best;
-}
 
 /** The hot-path shape: faults off, no retained epochs. */
 cluster::SimulationConfig

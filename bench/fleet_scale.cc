@@ -13,7 +13,6 @@
 
 #include <sys/resource.h>
 
-#include <chrono>
 #include <cstring>
 #include <iostream>
 
@@ -28,20 +27,6 @@ using namespace ahq::bench;
 
 namespace
 {
-
-double
-secondsOfN(const std::function<void()> &fn, int reps)
-{
-    double best = 1e300;
-    for (int rep = 0; rep < reps; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now();
-        fn();
-        const auto t1 = std::chrono::steady_clock::now();
-        best = std::min(
-            best, std::chrono::duration<double>(t1 - t0).count());
-    }
-    return best;
-}
 
 /** Peak resident set size in MiB (Linux ru_maxrss is KiB). */
 double

@@ -8,7 +8,6 @@
  * speedup trajectory as the engine evolves.
  */
 
-#include <chrono>
 #include <iostream>
 #include <thread>
 
@@ -22,21 +21,6 @@ using namespace ahq::bench;
 
 namespace
 {
-
-double
-secondsOf(const std::function<void()> &fn)
-{
-    // Best of three keeps scheduler jitter out of the trajectory.
-    double best = 1e300;
-    for (int rep = 0; rep < 3; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now();
-        fn();
-        const auto t1 = std::chrono::steady_clock::now();
-        best = std::min(
-            best, std::chrono::duration<double>(t1 - t0).count());
-    }
-    return best;
-}
 
 std::vector<exec::ScenarioJob>
 scenarioBatch()
@@ -102,9 +86,9 @@ main(int argc, char **argv)
 
         std::vector<cluster::SimulationResult> batch_res;
         const double batch_s =
-            secondsOf([&] { batch_res = runner.run(jobs); });
+            secondsOfN([&] { batch_res = runner.run(jobs); });
         cluster::OracleResult oracle_res;
-        const double oracle_s = secondsOf([&] {
+        const double oracle_s = secondsOfN([&] {
             oracle_res = cluster::bestHybridPartition(node, cfg);
         });
 

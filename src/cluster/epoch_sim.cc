@@ -1,6 +1,16 @@
 /**
  * @file
- * Epoch simulator implementation.
+ * Epoch simulator implementation: the epoch kernel.
+ *
+ * Every epoch runs the same named steps, in the order the paper's
+ * controller does (see DESIGN.md, "The epoch kernel"):
+ *
+ *   decide -> actuate -> model -> queue/measure -> entropy ->
+ *   observe -> aggregate
+ *
+ * Each opt-in concern (series, attribution, SLO alerting) is a
+ * small per-run component held in std::optional and called
+ * directly; off, it costs one branch per epoch.
  */
 
 #include "cluster/epoch_sim.hh"
@@ -34,6 +44,778 @@ namespace
  */
 constexpr double kSpikeLoadCap = 0.95;
 
+/** The per-epoch draw on the run's trace-sampling split. */
+bool
+sampledFrom(const stats::Rng &base, int epoch, double rate)
+{
+    // +1 keeps epoch 0 off the parent's 0 stream (split(0) would
+    // alias the convention other subsystems use for "first child").
+    stats::Rng r = base.split(static_cast<std::uint64_t>(epoch) + 1);
+    return r.uniform() < rate;
+}
+
+/** Offered load under an injected spike factor `f`. */
+double
+spikedLoad(double load, double f)
+{
+    if (f == 1.0)
+        return load;
+    const double spiked = load * f;
+    return spiked > load
+        ? std::min(spiked, std::max(load, kSpikeLoadCap))
+        : std::max(spiked, 0.0);
+}
+
+const std::string &
+appName(const Node &node, AppId id)
+{
+    static const std::string noise = obs::kNoiseCulpritName;
+    return id == obs::kNoiseCulprit ? noise : node.profile(id).name;
+}
+
+/**
+ * Time-series recording (cfg.obs.series). Every handle is resolved
+ * once up front — std::map references are stable, so the per-epoch
+ * recording is lock-free and allocation-free.
+ */
+class SeriesRecorder
+{
+  public:
+    SeriesRecorder(obs::TimeSeriesRegistry &tsr, const std::string &tag,
+                   const Node &node)
+    {
+        auto h = [&](const std::string &name) {
+            return &tsr.handle(tag, name);
+        };
+        eS_ = h("e_s");
+        eLc_ = h("e_lc");
+        eBe_ = h("e_be");
+        violations_ = h("violations");
+        faults_ = h("faults");
+        const auto n = static_cast<std::size_t>(node.numApps());
+        for (auto *v : {&p95_, &ret_, &queue_, &ipc_, &cores_, &ways_})
+            v->assign(n, nullptr);
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto &prof = node.profile(static_cast<AppId>(i));
+            const std::string suffix =
+                "." + std::to_string(i) + "." + prof.name;
+            cores_[i] = h("cores" + suffix);
+            ways_[i] = h("ways" + suffix);
+            if (prof.latencyCritical) {
+                p95_[i] = h("p95" + suffix);
+                ret_[i] = h("ret" + suffix);
+                queue_[i] = h("queue" + suffix);
+            } else {
+                ipc_[i] = h("ipc" + suffix);
+            }
+        }
+    }
+
+    /** One epoch; cores/ways/backlog hold this epoch's values. */
+    void record(int e, const EpochRecord &rec,
+                const std::vector<int> &cores,
+                const std::vector<int> &ways,
+                const std::vector<double> &backlog, int dropped)
+    {
+        eS_->record(e, rec.entropy.eS);
+        eLc_->record(e, rec.entropy.eLc);
+        eBe_->record(e, rec.entropy.eBe);
+        std::size_t lc_j = 0;
+        int violations = 0;
+        for (std::size_t i = 0; i < rec.obs.size(); ++i) {
+            const auto &o = rec.obs[i];
+            cores_[i]->record(e, cores[i]);
+            ways_[i]->record(e, ways[i]);
+            if (!o.latencyCritical) {
+                ipc_[i]->record(e, o.ipc);
+                continue;
+            }
+            p95_[i]->record(e, o.p95Ms);
+            queue_[i]->record(e, backlog[i]);
+            if (lc_j < rec.entropy.lcDetail.size()) {
+                ret_[i]->record(
+                    e, rec.entropy.lcDetail[lc_j].remainingTolerance);
+            }
+            ++lc_j;
+            if (!core::meetsQos(o.p95Ms, o.thresholdMs))
+                ++violations;
+        }
+        violations_->record(e, violations);
+        faults_->record(e, dropped);
+    }
+
+  private:
+    obs::TimeSeries *eS_, *eLc_, *eBe_, *violations_, *faults_;
+    std::vector<obs::TimeSeries *> p95_, ret_, queue_, ipc_, cores_,
+        ways_;
+};
+
+/**
+ * Counterfactual interference attribution (cfg.attribute): the
+ * ledger rows and the `attribution` events. The attributor owns its
+ * own contention model — the kernel's instance keeps mutable
+ * scratch, so sharing it would be unsafe.
+ */
+class AttributionStep
+{
+  public:
+    AttributionStep(const Node &node, const perf::ContentionTraits &traits)
+        : node_(node), attributor_(node.config(), traits)
+    {
+    }
+
+    /** Attribute one epoch's measured interference. */
+    void attribute(int e, const machine::RegionLayout &layout,
+                   const std::vector<perf::AppDemand> &demands,
+                   perf::CoreSharePolicy policy, const EpochRecord &rec,
+                   bool traced, const obs::Scope &scope,
+                   obs::AttributionLedger &ledger)
+    {
+        obs::Span span(scope, "attribute");
+        attributor_.attribute(layout, demands, policy, rec.outcomes,
+                              node_.lcApps(), rec.entropy.lcDetail,
+                              shares_);
+        // Shares arrive grouped by victim.
+        std::size_t s = 0;
+        while (s < shares_.size()) {
+            const AppId victim = shares_[s].victim;
+            std::size_t end = s;
+            while (end < shares_.size() && shares_[end].victim == victim)
+                ++end;
+            const std::string &vname = node_.profile(victim).name;
+            for (std::size_t k = s; k < end; ++k) {
+                const obs::AttributionShare &sh = shares_[k];
+                ledger.add(vname, appName(node_, sh.culprit),
+                           obs::interferenceResourceName(sh.resource),
+                           sh.share);
+            }
+            if (traced)
+                emit(e, s, end, rec, scope);
+            s = end;
+        }
+        scope.count("attr.epochs");
+    }
+
+    long long evaluations() const { return attributor_.evaluations(); }
+
+  private:
+    const Node &node_;
+    obs::InterferenceAttributor attributor_;
+    std::vector<obs::AttributionShare> shares_;
+
+    /** One `attribution` event for the victim of shares_[s, end). */
+    void emit(int e, std::size_t s, std::size_t end,
+              const EpochRecord &rec, const obs::Scope &scope) const
+    {
+        const AppId victim = shares_[s].victim;
+        std::vector<std::string> culprits, resources;
+        std::vector<double> shares;
+        culprits.reserve(end - s);
+        resources.reserve(end - s);
+        shares.reserve(end - s);
+        for (std::size_t k = s; k < end; ++k) {
+            culprits.push_back(appName(node_, shares_[k].culprit));
+            resources.push_back(
+                obs::interferenceResourceName(shares_[k].resource));
+            shares.push_back(shares_[k].share);
+        }
+        // entropy.lcDetail follows the node's LC order.
+        const auto &lc_apps = node_.lcApps();
+        const auto lc = static_cast<std::size_t>(
+            std::find(lc_apps.begin(), lc_apps.end(), victim) -
+            lc_apps.begin());
+        obs::Event ev("attribution");
+        ev.str("app", node_.profile(victim).name)
+            .num("r_i", rec.entropy.lcDetail[lc].interference)
+            .strs("culprits", culprits)
+            .strs("resources", resources)
+            .nums("shares", shares);
+        scope.atEpoch(e).emit(ev);
+    }
+};
+
+/**
+ * One run's state and its named per-epoch steps. Everything here is
+ * per-run local, so concurrent ScenarioRunner workers never share
+ * any of it; the buffers are reused across all epochs of the run.
+ */
+class EpochKernel
+{
+  public:
+    EpochKernel(const Node &node, const SimulationConfig &cfg,
+                sched::Scheduler *const *arms,
+                const PolicySchedule &schedule)
+        : node_(node), cfg_(cfg), arms_(arms), schedule_(schedule),
+          n_(node.numApps()),
+          epochs_(static_cast<int>(
+              std::round(cfg.durationSeconds / cfg.epochSeconds))),
+          rng_(cfg.seed), contention_(node.config(), cfg.contention),
+          curArm_(schedule.armAt(0)),
+          cur_(arms[static_cast<std::size_t>(curArm_)]),
+          tracing_(cfg.obs.tracing()),
+          // Head-based sampling: decided once at each epoch's head,
+          // gating every trace event of that epoch. run_start/
+          // run_end, auditor violations, alerts, metrics and series
+          // are never sampled.
+          sampling_(tracing_ && cfg.traceSampleRate < 1.0),
+          sampleBase_(stats::Rng(cfg.seed).split(kTraceSampleStream)),
+          staticObs_(node.staticObservations()),
+          auditor_(cfg.checkMode, cfg.obs)
+    {
+        cur_->reset();
+        // Always (re)attach the run's scope: a scheduler reused
+        // across runs must not keep reporting into old sinks.
+        cur_->setObsScope(cfg.obs);
+        const int warmup = std::min(cfg.warmupEpochs, epochs_);
+        if (tracing_) {
+            obs::Event ev("run_start");
+            ev.str("scheduler", cur_->name())
+                .str("node", node.describe())
+                .integer("epochs", epochs_)
+                .num("epoch_seconds", cfg.epochSeconds)
+                .integer("seed", static_cast<long long>(cfg.seed))
+                .integer("warmup", warmup);
+            if (sampling_)
+                ev.num("trace_sample", cfg.traceSampleRate);
+            cfg.obs.emit(ev);
+        }
+        // Scope for sampled-out epochs: sink muted, metrics and
+        // profiler untouched. Built once, so the rejected->rejected
+        // steady state performs no scope copies at all.
+        mutedScope_ = cfg.obs;
+        mutedScope_.sink = nullptr;
+
+        layout_ = cur_->initialLayout(node.config(), staticObs_);
+        assert(layout_.valid());
+        if (auditor_.enabled())
+            auditor_.beginRun(layout_, 0.0);
+        // The injector's RNG stream is split off the run seed, so
+        // fault draws never perturb the measurement noise stream.
+        if (cfg.faults != nullptr && cfg.faults->active())
+            injector_.emplace(*cfg.faults, cfg.seed, cfg.obs);
+        if (cfg.attribute)
+            attribution_.emplace(node, cfg.contention);
+        if (cfg.slo)
+            slo_.emplace(n_, cfg.sloTraits);
+        if (cfg.obs.series != nullptr)
+            series_.emplace(*cfg.obs.series, cfg.obs.scenario, node);
+
+        const auto un = static_cast<std::size_t>(n_);
+        backlog_.assign(un, 0.0);
+        prevWays_.assign(un, -1);
+        prevCores_.assign(un, -1);
+        result_.warmupEpochs = warmup;
+        if (cfg.keepEpochs)
+            result_.epochs.reserve(static_cast<std::size_t>(epochs_));
+        result_.meanP95Ms.assign(un, 0.0);
+        result_.meanIpc.assign(un, 0.0);
+        result_.steadyMeanLoad.assign(un, 0.0);
+    }
+
+    /** Every epoch, then the run's totals. */
+    SimulationResult run()
+    {
+        for (int e = 0; e < epochs_; ++e)
+            step(e);
+        finish();
+        return std::move(result_);
+    }
+
+  private:
+    const Node &node_;
+    const SimulationConfig &cfg_;
+    sched::Scheduler *const *arms_;
+    const PolicySchedule &schedule_;
+    const int n_;
+    const int epochs_;
+
+    stats::Rng rng_;
+    perf::ContentionModel contention_;
+
+    /** The arm in force and its scheduler. */
+    int curArm_;
+    sched::Scheduler *cur_;
+
+    const bool tracing_;
+    const bool sampling_;
+    const stats::Rng sampleBase_;
+    obs::Scope mutedScope_;
+    bool prevTraced_ = true;
+
+    const std::vector<sched::AppObservation> staticObs_;
+    machine::RegionLayout layout_{machine::ResourceVector{}};
+    /** Pre-decision layout, kept only for the auditor/injector. */
+    machine::RegionLayout before_{machine::ResourceVector{}};
+
+    check::InvariantAuditor auditor_;
+    std::optional<fault::FaultInjector> injector_;
+    std::optional<AttributionStep> attribution_;
+    std::optional<obs::SloMonitor> slo_;
+    std::optional<SeriesRecorder> series_;
+
+    /**
+     * Degradation carried into the next decision: whether any
+     * (resp. every) app's sample was dropped last epoch. Always
+     * false without an injector.
+     */
+    bool lastDegraded_ = false;
+    bool lastAllDropped_ = false;
+    int dropped_ = 0;
+
+    std::vector<double> backlog_;
+    std::vector<int> prevWays_, prevCores_;
+    std::vector<sched::AppObservation> lastObs_;
+    std::vector<perf::AppDemand> demands_;
+    std::vector<core::LcObservation> lcObs_;
+    std::vector<core::BeObservation> beObs_;
+
+    SimulationResult result_;
+    /** Post-warmup epochs summed into result_ so far. */
+    int steady_ = 0;
+
+    /** One epoch, step by step. */
+    void step(int e)
+    {
+        const double t = e * cfg_.epochSeconds;
+        obs::Span epoch_span(cfg_.obs, "epoch");
+        const bool traced = tracing_ &&
+            (!sampling_ ||
+             sampledFrom(sampleBase_, e, cfg_.traceSampleRate));
+        const bool swapped = swapArm(e, traced);
+        routeTrace(e, traced, swapped);
+        if (injector_)
+            injector_->beginEpoch(e, t);
+        // A swap epoch skips the decision: the incoming scheduler just
+        // built its initial layout and has observed nothing yet
+        // (the same contract as epoch 0 of a plain run).
+        if (e > 0 && !swapped)
+            decide(e, t);
+
+        EpochRecord rec;
+        rec.time = t;
+        rec.obs = staticObs_;
+        measure(e, t, rec);
+        observe(e, t, rec, traced);
+        if (e >= result_.warmupEpochs)
+            aggregate(rec);
+        keep(std::move(rec));
+    }
+
+    /**
+     * Policy-swap seam: at a block boundary where the arm changes,
+     * the incoming scheduler takes over the *system* state (queue
+     * backlog carries; its predecessor's internal state does not)
+     * and re-initialises the layout — the repartition is charged
+     * through the overhead model.
+     */
+    bool swapArm(int e, bool traced)
+    {
+        const int a = schedule_.armAt(e);
+        if (a == curArm_)
+            return false;
+        curArm_ = a;
+        cur_ = arms_[static_cast<std::size_t>(a)];
+        cur_->reset();
+        cur_->setObsScope(tracing_ && !traced ? mutedScope_
+                                              : cfg_.obs.atEpoch(e));
+        layout_ = cur_->initialLayout(node_.config(), staticObs_);
+        assert(layout_.valid());
+        cfg_.obs.count("sim.policy_swaps");
+        if (traced) {
+            obs::Event ev("policy_swap");
+            ev.str("scheduler", cur_->name()).integer("arm", curArm_);
+            cfg_.obs.atEpoch(e).emit(ev);
+        }
+        return true;
+    }
+
+    /** Point the scheduler/injector sinks at this epoch's verdict. */
+    void routeTrace(int e, bool traced, bool swapped)
+    {
+        if (!tracing_)
+            return;
+        if (traced) {
+            cur_->setObsScope(cfg_.obs.atEpoch(e));
+            if (injector_)
+                injector_->setEventsEnabled(true);
+        } else if (prevTraced_ || swapped) {
+            // First rejected epoch after a kept one (or a swap,
+            // whose fresh arm must not inherit a stale sink): mute
+            // once. Later rejected epochs skip even the scope copy.
+            cur_->setObsScope(mutedScope_);
+            if (injector_)
+                injector_->setEventsEnabled(false);
+        }
+        prevTraced_ = traced;
+    }
+
+    /** The scheduler reacts to last epoch's measurements. */
+    void decide(int e, double t)
+    {
+        if (injector_ && lastAllDropped_) {
+            // Every input sample was dropped: no scheduler can act
+            // on pure staleness, so the interval is skipped.
+            cfg_.obs.count("fault.decision_skipped");
+            return;
+        }
+        if (auditor_.enabled() || injector_)
+            before_ = layout_;
+        {
+            obs::Span span(cfg_.obs, "decide");
+            cur_->adjust(layout_, lastObs_, t);
+        }
+        if (auditor_.enabled()) {
+            obs::Span span(cfg_.obs, "audit");
+            auditor_.afterDecision(*cur_, before_, layout_, e, t,
+                                   lastDegraded_);
+        }
+        if (injector_)
+            actuate(e, t);
+        assert(layout_.valid());
+    }
+
+    /** Push the decided layout through the (faulty) knobs. */
+    void actuate(int e, double t)
+    {
+        fault::FaultInjector::Actuation act;
+        {
+            obs::Span span(cfg_.obs, "actuate");
+            act = injector_->actuate(before_, layout_, e, t);
+            cur_->onActuation(act.ok);
+        }
+        if (auditor_.enabled()) {
+            obs::Span span(cfg_.obs, "audit");
+            auditor_.afterActuation(layout_, act.applied, act.ok, e, t);
+        }
+        layout_ = std::move(act.applied);
+    }
+
+    /**
+     * Contention model under the current layout and loads, then the
+     * queues advance and produce measurements, then E_S.
+     */
+    void measure(int e, double t, EpochRecord &rec)
+    {
+        lcObs_.clear();
+        beObs_.clear();
+        dropped_ = 0;
+        obs::Span measure_span(cfg_.obs, "measure");
+        node_.demandsAt(t, demands_);
+        {
+            obs::Span span(cfg_.obs, "model");
+            contention_.evaluateInto(layout_, demands_, cur_->corePolicy(),
+                                     rec.outcomes);
+        }
+        for (AppId i = 0; i < n_; ++i) {
+            const auto ui = static_cast<std::size_t>(i);
+            const double overhead = repartitionOverhead(i);
+            if (node_.profile(i).latencyCritical)
+                measureLc(i, e, t, overhead, rec.outcomes[ui],
+                          rec.obs[ui]);
+            else
+                measureBe(i, e, t, overhead, rec.outcomes[ui],
+                          rec.obs[ui]);
+        }
+        if (injector_) {
+            lastDegraded_ = dropped_ > 0;
+            lastAllDropped_ = n_ > 0 && dropped_ == n_;
+        }
+        rec.entropy = core::computeEntropy(lcObs_, beObs_, cfg_.ri);
+    }
+
+    /** Latency multiplier for app i's change in reachable ways/cores. */
+    double repartitionOverhead(AppId i)
+    {
+        const auto ui = static_cast<std::size_t>(i);
+        const int ways = layout_.reachable(i, ResourceKind::LlcWays);
+        const int cores = layout_.reachable(i, ResourceKind::Cores);
+        double overhead = 1.0;
+        if (cfg_.overheadEnabled && prevWays_[ui] >= 0) {
+            const int d_ways = std::abs(ways - prevWays_[ui]);
+            const int d_cores = std::abs(cores - prevCores_[ui]);
+            overhead = std::min(
+                2.0, 1.0 + cfg_.overheadWaysFactor * d_ways +
+                    cfg_.overheadCoresFactor * d_cores);
+        }
+        prevWays_[ui] = ways;
+        prevCores_[ui] = cores;
+        return overhead;
+    }
+
+    /**
+     * Post-migration cold start (ColocatedApp::coldEpochs): a freshly
+     * migrated app's service rates (LC) or IPC (BE) shrink by this
+     * factor while its caches re-warm, decaying linearly; 1 when warm.
+     */
+    double coldFactor(AppId i, int e) const
+    {
+        const auto &app = node_.apps()[static_cast<std::size_t>(i)];
+        if (e < app.coldEpochs && app.coldPenalty > 0.0) {
+            return 1.0 + app.coldPenalty *
+                static_cast<double>(app.coldEpochs - e) /
+                static_cast<double>(app.coldEpochs);
+        }
+        return 1.0;
+    }
+
+    /** Whether app i's sample survives the injector; drops count. */
+    bool delivered(AppId i, int e, double t, double &extra)
+    {
+        if (!injector_ || injector_->sampleMeasurement(i, e, t, &extra))
+            return true;
+        ++dropped_;
+        return false;
+    }
+
+    /** Queue and measure one LC app: backlog, p95, noise, faults. */
+    void measureLc(AppId i, int e, double t, double overhead,
+                   const perf::PerfOutcome &out, sched::AppObservation &o)
+    {
+        const auto ui = static_cast<std::size_t>(i);
+        const auto &prof = node_.profile(i);
+        double load = node_.loadAt(i, t);
+        if (injector_)
+            load = spikedLoad(load, injector_->loadFactor(i, t));
+        const double lambda = prof.arrivalRate(load);
+        const double cold = coldFactor(i, e);
+        const double cap = out.serviceRate / cold;
+        const double per_server = out.perServerRate / cold;
+
+        // Explicit backlog dynamics with a generator-side cap on
+        // outstanding work.
+        const double queue_cap = lambda * cfg_.queueCapSeconds + 32.0;
+        double b_new = backlog_[ui] + (lambda - cap) * cfg_.epochSeconds;
+        b_new = std::clamp(b_new, 0.0, queue_cap);
+        const double b_mid = 0.5 * (backlog_[ui] + b_new);
+        backlog_[ui] = b_new;
+
+        // Steady queueing term at a stabilised arrival rate plus the
+        // drain time of the carried backlog. Timeslice stretching
+        // (FairShare oversubscription) inflates the whole tail.
+        const double lam_eff = std::min(lambda, 0.98 * cap);
+        const double svc_tail =
+            prof.svcMultAt(cfg_.tailPercentile) * out.serviceStretch;
+        double t95 = perf::sojournPercentileApprox(
+            out.coreEquivalents, lam_eff, per_server, svc_tail,
+            cfg_.tailPercentile);
+        if (!std::isfinite(t95))
+            t95 = svc_tail / per_server;
+        t95 += b_mid / std::max(cap, 1e-9);
+
+        double p95 = prof.baseLatencyMs + 1000.0 * t95;
+        p95 *= overhead;
+        p95 *= rng_.lognormalNoise(cfg_.noiseSigma);
+
+        double extra = 1.0;
+        const bool valid = delivered(i, e, t, extra);
+        if (!valid && e > 0) {
+            // Dropped sample: deliver the previous epoch's delivered
+            // observation, flagged stale. Never NaN — schedulers
+            // sort on these fields.
+            o = lastObs_[ui];
+        } else {
+            // A sample dropped on the very first interval gets the
+            // monitoring agent's cold default (solo expectations).
+            o.loadFraction = load;
+            o.arrivalRate = lambda;
+            o.idealP95Ms =
+                prof.soloTailPercentileMs(load, cfg_.tailPercentile);
+            o.p95Ms = valid ? p95 * extra : o.idealP95Ms;
+        }
+        if (!valid)
+            o.sampleValid = false;
+        lcObs_.push_back({o.idealP95Ms, o.p95Ms, o.thresholdMs});
+    }
+
+    /** Measure one BE app's IPC: overhead, cold start, noise, faults. */
+    void measureBe(AppId i, int e, double t, double overhead,
+                   const perf::PerfOutcome &out, sched::AppObservation &o)
+    {
+        // Repartitioning costs BE throughput too (cold ways and
+        // thread migrations), at half the latency rate.
+        double ipc = out.ipc;
+        ipc /= 1.0 + 0.5 * (overhead - 1.0);
+        ipc /= coldFactor(i, e);
+        ipc *= rng_.lognormalNoise(cfg_.noiseSigma);
+
+        double extra = 1.0;
+        if (delivered(i, e, t, extra)) {
+            o.ipc = ipc * extra;
+        } else {
+            if (e > 0)
+                o = lastObs_[static_cast<std::size_t>(i)];
+            else
+                o.ipc = o.ipcSolo;
+            o.sampleValid = false;
+        }
+        beObs_.push_back({o.ipcSolo, o.ipc});
+    }
+
+    /** Attribution, audit, series, the epoch event and SLO alerts. */
+    void observe(int e, double t, const EpochRecord &rec, bool traced)
+    {
+        // Post-warmup epochs only, matching the violation counter and
+        // the steady-state means the ledger is read next to.
+        if (attribution_ && e >= result_.warmupEpochs)
+            attribution_->attribute(e, layout_, demands_,
+                                    cur_->corePolicy(), rec, traced,
+                                    cfg_.obs, result_.attribution);
+        if (auditor_.enabled()) {
+            obs::Span span(cfg_.obs, "audit");
+            auditor_.afterEpoch(rec.entropy, cfg_.ri, !lcObs_.empty(),
+                                !beObs_.empty(), e, t);
+        }
+        if (series_)
+            series_->record(e, rec, prevCores_, prevWays_, backlog_,
+                            dropped_);
+        if (traced)
+            emitEpoch(e, t, rec);
+        if (slo_)
+            alert(e, rec);
+        cfg_.obs.count("sim.epochs");
+    }
+
+    void emitEpoch(int e, double t, const EpochRecord &rec) const
+    {
+        std::vector<double> p95, ipc;
+        p95.reserve(static_cast<std::size_t>(n_));
+        ipc.reserve(static_cast<std::size_t>(n_));
+        for (const auto &o : rec.obs) {
+            p95.push_back(o.latencyCritical ? o.p95Ms : 0.0);
+            ipc.push_back(o.latencyCritical ? 0.0 : o.ipc);
+        }
+        obs::Event ev("epoch");
+        ev.num("t", t)
+            .num("e_lc", rec.entropy.eLc)
+            .num("e_be", rec.entropy.eBe)
+            .num("e_s", rec.entropy.eS)
+            .nums("p95_ms", p95)
+            .nums("ipc", ipc);
+        cfg_.obs.atEpoch(e).emit(ev);
+    }
+
+    /**
+     * The SLO step: every LC app's violation bit feeds the burn-rate
+     * detector. Transitions emit regardless of trace sampling, like
+     * `violation` — alerts are the signal sampling must not drop.
+     */
+    void alert(int e, const EpochRecord &rec)
+    {
+        for (AppId i = 0; i < n_; ++i) {
+            const auto &o = rec.obs[static_cast<std::size_t>(i)];
+            if (!o.latencyCritical)
+                continue;
+            const auto tr = slo_->observe(
+                i, e, !core::meetsQos(o.p95Ms, o.thresholdMs));
+            if (tr.kind == obs::SloAlertTransition::Kind::None)
+                continue;
+            const bool raise =
+                tr.kind == obs::SloAlertTransition::Kind::Raise;
+            cfg_.obs.count(raise ? "slo.alert_raised"
+                                 : "slo.alert_cleared");
+            if (!tracing_)
+                continue;
+            obs::Event ev(raise ? "alert_raise" : "alert_clear");
+            ev.str("app", node_.profile(i).name);
+            if (!raise)
+                ev.integer("duration", tr.durationEpochs);
+            ev.num("burn_fast", tr.burnFast)
+                .num("burn_slow", tr.burnSlow);
+            cfg_.obs.atEpoch(e).emit(ev);
+        }
+    }
+
+    /**
+     * Steady-state sums, in epoch order as the run goes: the same
+     * values in the same order a post-run scan would visit, so a
+     * keepEpochs=false run never needs the record vector.
+     */
+    void aggregate(const EpochRecord &rec)
+    {
+        result_.meanELc += rec.entropy.eLc;
+        result_.meanEBe += rec.entropy.eBe;
+        result_.meanES += rec.entropy.eS;
+        for (std::size_t i = 0; i < rec.obs.size(); ++i) {
+            const auto &o = rec.obs[i];
+            if (o.latencyCritical) {
+                result_.meanP95Ms[i] += o.p95Ms;
+                result_.steadyMeanLoad[i] += o.loadFraction;
+                if (!core::meetsQos(o.p95Ms, o.thresholdMs))
+                    ++result_.violations;
+            } else {
+                result_.meanIpc[i] += o.ipc;
+            }
+        }
+        ++steady_;
+    }
+
+    /** Carry the observations forward; retain the record if asked. */
+    void keep(EpochRecord &&rec)
+    {
+        lastObs_ = rec.obs;
+        if (!cfg_.keepEpochs)
+            return;
+        rec.regionRes.reserve(
+            static_cast<std::size_t>(layout_.numRegions()));
+        for (int r = 0; r < layout_.numRegions(); ++r)
+            rec.regionRes.push_back(layout_.region(r).res);
+        rec.layout = layout_;
+        rec.queueBacklog.assign(backlog_.begin(), backlog_.end());
+        rec.policyArm = curArm_;
+        result_.epochs.push_back(std::move(rec));
+    }
+
+    /** Close the run: means, yield, totals and run_end. */
+    void finish()
+    {
+        auto &res = result_;
+        if (steady_ > 0) {
+            res.meanELc /= steady_;
+            res.meanEBe /= steady_;
+            res.meanES /= steady_;
+            for (auto *v :
+                 {&res.meanP95Ms, &res.meanIpc, &res.steadyMeanLoad})
+                for (auto &x : *v)
+                    x /= steady_;
+        }
+        int lc_total = 0, lc_ok = 0;
+        for (AppId i = 0; i < n_; ++i) {
+            const auto &prof = node_.profile(i);
+            if (!prof.latencyCritical)
+                continue;
+            ++lc_total;
+            if (core::meetsQos(res.meanP95Ms[static_cast<std::size_t>(i)],
+                               prof.tailThresholdMs))
+                ++lc_ok;
+        }
+        res.yieldValue =
+            lc_total > 0 ? static_cast<double>(lc_ok) / lc_total : 1.0;
+
+        if (slo_) {
+            res.slo = slo_->summary();
+            cfg_.obs.count("slo.alert_epochs",
+                           static_cast<double>(res.slo.alertEpochs));
+        }
+        if (attribution_)
+            cfg_.obs.count("attr.evals",
+                           static_cast<double>(
+                               attribution_->evaluations()));
+        if (tracing_) {
+            obs::Event ev("run_end");
+            ev.str("scheduler", cur_->name())
+                .num("mean_e_lc", res.meanELc)
+                .num("mean_e_be", res.meanEBe)
+                .num("mean_e_s", res.meanES)
+                .num("yield", res.yieldValue)
+                .integer("violations", res.violations);
+            cfg_.obs.emit(ev);
+        }
+        cfg_.obs.count("sim.runs");
+        cfg_.obs.count("sim.violations", res.violations);
+        cfg_.obs.observe("sim.mean_e_s", res.meanES);
+    }
+};
+
 } // namespace
 
 bool
@@ -43,13 +825,8 @@ epochTraceSampled(std::uint64_t seed, int epoch, double rate)
         return true;
     if (rate <= 0.0 || epoch < 0)
         return false;
-    // +1 keeps epoch 0 off the parent's 0 stream (split(0) would
-    // alias the convention other subsystems use for "first child").
-    stats::Rng r =
-        stats::Rng(seed)
-            .split(kTraceSampleStream)
-            .split(static_cast<std::uint64_t>(epoch) + 1);
-    return r.uniform() < rate;
+    return sampledFrom(stats::Rng(seed).split(kTraceSampleStream), epoch,
+                       rate);
 }
 
 EpochSimulator::EpochSimulator(Node node, SimulationConfig config)
@@ -63,8 +840,7 @@ EpochSimulator::EpochSimulator(Node node, SimulationConfig config)
 SimulationResult
 EpochSimulator::run(sched::Scheduler &scheduler) const
 {
-    sched::Scheduler *arm = &scheduler;
-    return runImpl(&arm, 1, nullptr);
+    return runSwitched({&scheduler}, {});
 }
 
 SimulationResult
@@ -77,753 +853,12 @@ EpochSimulator::runSwitched(
     for (const auto *a : arms)
         assert(a != nullptr);
     for (const int a : schedule.blockArm)
-        assert(a >= 0 &&
-               static_cast<std::size_t>(a) < arms.size());
+        assert(a >= 0 && static_cast<std::size_t>(a) < arms.size());
 #endif
-    return runImpl(arms.data(), arms.size(), &schedule);
-}
-
-SimulationResult
-EpochSimulator::runImpl(sched::Scheduler *const *arms,
-                        std::size_t num_arms,
-                        const PolicySchedule *schedule) const
-{
-    (void)num_arms;
-    const int n = node_.numApps();
-    const int epochs = static_cast<int>(
-        std::round(cfg.durationSeconds / cfg.epochSeconds));
-    const double dt = cfg.epochSeconds;
-
-    // Profiling root for the whole run; every phase span below
-    // nests under it. One branch when no profiler is attached.
+    // Profiling root for the whole run; every step's span nests
+    // under it.
     obs::Span run_span(cfg.obs, "run");
-
-    stats::Rng rng(cfg.seed);
-    perf::ContentionModel contention(node_.config(), cfg.contention);
-
-    // The arm in force; a null schedule pins arm 0 for the whole
-    // run (the classic single-scheduler path).
-    int cur_arm = schedule != nullptr ? schedule->armAt(0) : 0;
-    sched::Scheduler *cur = arms[static_cast<std::size_t>(cur_arm)];
-    cur->reset();
-    // Always (re)attach the run's scope: a scheduler reused across
-    // runs must not keep reporting into the previous run's sinks.
-    cur->setObsScope(cfg.obs);
-    const bool tracing = cfg.obs.tracing();
-    const double sample_rate = cfg.traceSampleRate;
-    // Head-based sampling: the keep/drop decision is made once at
-    // each epoch's head and gates every trace event of that epoch
-    // (scheduler decisions, injector faults, the epoch record).
-    // run_start/run_end and auditor violations always emit, and
-    // metrics / time-series recording is never sampled — series are
-    // the bounded-memory signal sampling exists to protect.
-    const bool sampling = tracing && sample_rate < 1.0;
-    if (tracing) {
-        obs::Event ev("run_start");
-        ev.str("scheduler", cur->name())
-            .str("node", node_.describe())
-            .integer("epochs", epochs)
-            .num("epoch_seconds", dt)
-            .integer("seed", static_cast<long long>(cfg.seed))
-            .integer("warmup", std::min(cfg.warmupEpochs, epochs));
-        if (sampling)
-            ev.num("trace_sample", sample_rate);
-        cfg.obs.emit(ev);
-    }
-    // Scope handed to the scheduler/injector on sampled-out epochs:
-    // sink muted, metrics and profiler untouched. Built once — the
-    // rejected→rejected steady state performs no scope copies at
-    // all, which is what keeps it allocation-free.
-    obs::Scope muted_scope = cfg.obs;
-    muted_scope.sink = nullptr;
-    bool prev_traced = true;
-    // Per-run half of the epochTraceSampled() split chain, hoisted
-    // out of the loop; the per-epoch decision below must stay
-    // identical to the pure function (the tests assert it is).
-    const stats::Rng sample_base =
-        stats::Rng(cfg.seed).split(kTraceSampleStream);
-
-    auto static_obs = node_.staticObservations();
-    machine::RegionLayout layout =
-        cur->initialLayout(node_.config(), static_obs);
-    assert(layout.valid());
-
-    // Opt-in invariant auditing (AHQ_CHECK / cfg.checkMode). The
-    // auditor is per-run local state, so concurrent ScenarioRunner
-    // workers never share one. When off, the per-epoch cost is a
-    // single branch — no layout copies are taken.
-    check::InvariantAuditor auditor(cfg.checkMode, cfg.obs);
-    const bool auditing = auditor.enabled();
-    if (auditing)
-        auditor.beginRun(layout, 0.0);
-
-    // Opt-in fault injection (cfg.faults). Like the auditor, the
-    // injector is per-run local state; its RNG stream is split off
-    // the run seed so fault draws never perturb the measurement
-    // noise stream above. Faults off ⇒ the exact unfaulted path.
-    std::optional<fault::FaultInjector> injector;
-    if (cfg.faults != nullptr && cfg.faults->active())
-        injector.emplace(*cfg.faults, cfg.seed, cfg.obs);
-    const bool faulting = injector.has_value();
-
-    // Opt-in counterfactual interference attribution
-    // (cfg.attribute). The attributor owns its own contention
-    // model — the simulator's instance keeps mutable scratch, so
-    // sharing it would be unsafe — and is per-run local state like
-    // the auditor and the injector. Off ⇒ one branch per epoch.
-    std::optional<obs::InterferenceAttributor> attributor;
-    if (cfg.attribute)
-        attributor.emplace(node_.config(), cfg.contention);
-    const bool attributing = attributor.has_value();
-    std::vector<obs::AttributionShare> attr_shares;
-    // Victim AppId → index into entropy.lcDetail (LC push order).
-    std::vector<int> lc_index;
-    if (attributing) {
-        lc_index.assign(static_cast<std::size_t>(n), -1);
-        for (std::size_t v = 0; v < node_.lcApps().size(); ++v)
-            lc_index[static_cast<std::size_t>(
-                node_.lcApps()[v])] = static_cast<int>(v);
-    }
-
-    // Opt-in online SLO burn-rate monitoring (cfg.slo). Pure
-    // function of the violation bit stream, so alert events stay
-    // inside the byte-identity contract. Off ⇒ one branch.
-    std::optional<obs::SloMonitor> slo_monitor;
-    if (cfg.slo)
-        slo_monitor.emplace(n, cfg.sloTraits);
-    const bool slo_on = slo_monitor.has_value();
-
-    // Degradation carried into the next epoch's decision: whether
-    // any (resp. every) app's sample was dropped last epoch.
-    bool last_degraded = false;
-    bool last_all_dropped = false;
-
-    // Per-run state kept struct-of-arrays so the measure phase
-    // iterates contiguous memory; the buffers below are reused
-    // across all epochs of the run.
-    std::vector<double> backlog(static_cast<std::size_t>(n), 0.0);
-    std::vector<int> prev_ways(static_cast<std::size_t>(n), -1);
-    std::vector<int> prev_cores(static_cast<std::size_t>(n), -1);
-
-    // Post-migration cold-start windows (ColocatedApp::coldEpochs):
-    // a freshly migrated app re-warms its caches over the first
-    // cold_epochs[i] epochs, with service times stretched by a
-    // linearly decaying factor. All-warm runs (the common case)
-    // reduce to one `any_cold` branch per app per epoch.
-    std::vector<int> cold_epochs(static_cast<std::size_t>(n), 0);
-    std::vector<double> cold_penalty(static_cast<std::size_t>(n),
-                                     0.0);
-    bool any_cold = false;
-    for (AppId i = 0; i < n; ++i) {
-        const auto ui = static_cast<std::size_t>(i);
-        const auto &app = node_.apps()[ui];
-        if (app.coldEpochs > 0 && app.coldPenalty > 0.0) {
-            cold_epochs[ui] = app.coldEpochs;
-            cold_penalty[ui] = app.coldPenalty;
-            any_cold = true;
-        }
-    }
-    std::vector<sched::AppObservation> last_obs;
-    std::vector<perf::AppDemand> demands;
-    std::vector<core::LcObservation> lc_obs;
-    std::vector<core::BeObservation> be_obs;
-
-    // Time-series instrumentation (cfg.obs.series): resolve every
-    // handle once up front — std::map references are stable, so the
-    // per-epoch recording below is lock-free and allocation-free.
-    obs::TimeSeriesRegistry *const tsr = cfg.obs.series;
-    struct SeriesHandles
-    {
-        obs::TimeSeries *eS = nullptr;
-        obs::TimeSeries *eLc = nullptr;
-        obs::TimeSeries *eBe = nullptr;
-        obs::TimeSeries *violations = nullptr;
-        obs::TimeSeries *faults = nullptr;
-        std::vector<obs::TimeSeries *> p95, ret, queue, ipc, cores,
-            ways;
-    } series;
-    if (tsr != nullptr) {
-        const std::string &tag = cfg.obs.scenario;
-        auto h = [&](const std::string &name) {
-            return &tsr->handle(tag, name);
-        };
-        series.eS = h("e_s");
-        series.eLc = h("e_lc");
-        series.eBe = h("e_be");
-        series.violations = h("violations");
-        series.faults = h("faults");
-        const auto un = static_cast<std::size_t>(n);
-        series.p95.assign(un, nullptr);
-        series.ret.assign(un, nullptr);
-        series.queue.assign(un, nullptr);
-        series.ipc.assign(un, nullptr);
-        series.cores.assign(un, nullptr);
-        series.ways.assign(un, nullptr);
-        for (AppId i = 0; i < n; ++i) {
-            const auto ui = static_cast<std::size_t>(i);
-            const auto &prof = node_.profile(i);
-            const std::string suffix =
-                "." + std::to_string(i) + "." + prof.name;
-            series.cores[ui] = h("cores" + suffix);
-            series.ways[ui] = h("ways" + suffix);
-            if (prof.latencyCritical) {
-                series.p95[ui] = h("p95" + suffix);
-                series.ret[ui] = h("ret" + suffix);
-                series.queue[ui] = h("queue" + suffix);
-            } else {
-                series.ipc[ui] = h("ipc" + suffix);
-            }
-        }
-    }
-
-    SimulationResult result;
-    result.warmupEpochs = std::min(cfg.warmupEpochs, epochs);
-    if (cfg.keepEpochs)
-        result.epochs.reserve(static_cast<std::size_t>(epochs));
-    result.meanP95Ms.assign(static_cast<std::size_t>(n), 0.0);
-    result.meanIpc.assign(static_cast<std::size_t>(n), 0.0);
-    result.steadyMeanLoad.assign(static_cast<std::size_t>(n), 0.0);
-    int steady = 0;
-
-    for (int e = 0; e < epochs; ++e) {
-        const double t = e * dt;
-        obs::Span epoch_span(cfg.obs, "epoch");
-
-        // 1) Scheduler reacts to last epoch's measurements.
-        const bool epoch_traced = tracing &&
-            (!sampling ||
-             sample_base.split(static_cast<std::uint64_t>(e) + 1)
-                     .uniform() < sample_rate);
-
-        // Policy-swap seam: at a block boundary where the arm
-        // changes, the incoming scheduler takes over the *system*
-        // state (queue backlog carries; its predecessor's internal
-        // state does not) and re-initialises the layout — the
-        // repartition is charged through the overhead model below.
-        bool swapped = false;
-        if (schedule != nullptr) {
-            const int a = schedule->armAt(e);
-            if (a != cur_arm) {
-                cur_arm = a;
-                cur = arms[static_cast<std::size_t>(a)];
-                cur->reset();
-                cur->setObsScope(tracing && !epoch_traced
-                                     ? muted_scope
-                                     : cfg.obs.atEpoch(e));
-                layout =
-                    cur->initialLayout(node_.config(), static_obs);
-                assert(layout.valid());
-                swapped = true;
-                cfg.obs.count("sim.policy_swaps");
-                if (epoch_traced) {
-                    obs::Event ev("policy_swap");
-                    ev.str("scheduler", cur->name())
-                        .integer("arm", cur_arm);
-                    cfg.obs.atEpoch(e).emit(ev);
-                }
-            }
-        }
-
-        if (tracing) {
-            if (epoch_traced) {
-                cur->setObsScope(cfg.obs.atEpoch(e));
-                if (faulting)
-                    injector->setEventsEnabled(true);
-            } else if (prev_traced || swapped) {
-                // First rejected epoch after a kept one (or a swap,
-                // whose fresh arm must not inherit a stale sink):
-                // mute the scheduler/injector sinks once. Later
-                // rejected epochs skip even the scope copy, keeping
-                // the rejected steady state allocation-free.
-                cur->setObsScope(muted_scope);
-                if (faulting)
-                    injector->setEventsEnabled(false);
-            }
-            prev_traced = epoch_traced;
-        }
-        if (faulting)
-            injector->beginEpoch(e, t);
-        // A swap epoch skips adjust(): the incoming scheduler just
-        // built its initial layout and has observed nothing yet
-        // (the same contract as epoch 0 of a plain run).
-        if (e > 0 && !swapped) {
-            if (faulting && last_all_dropped) {
-                // Every input sample was dropped: no scheduler can
-                // act on pure staleness, so the interval is skipped
-                // uniformly (graceful degradation for strategies
-                // with no fault handling of their own).
-                cfg.obs.count("fault.decision_skipped");
-            } else if (faulting) {
-                machine::RegionLayout intent = layout;
-                {
-                    obs::Span span(cfg.obs, "decide");
-                    cur->adjust(intent, last_obs, t);
-                }
-                if (auditing) {
-                    obs::Span span(cfg.obs, "audit");
-                    auditor.afterDecision(*cur, layout, intent,
-                                          e, t, last_degraded);
-                }
-                fault::FaultInjector::Actuation act;
-                {
-                    obs::Span span(cfg.obs, "actuate");
-                    act = injector->actuate(layout, intent, e, t);
-                    cur->onActuation(act.ok);
-                }
-                if (auditing) {
-                    obs::Span span(cfg.obs, "audit");
-                    auditor.afterActuation(intent, act.applied,
-                                           act.ok, e, t);
-                }
-                layout = std::move(act.applied);
-            } else if (auditing) {
-                const machine::RegionLayout before = layout;
-                {
-                    obs::Span span(cfg.obs, "decide");
-                    cur->adjust(layout, last_obs, t);
-                }
-                obs::Span span(cfg.obs, "audit");
-                auditor.afterDecision(*cur, before, layout,
-                                      e, t);
-            } else {
-                obs::Span span(cfg.obs, "decide");
-                cur->adjust(layout, last_obs, t);
-            }
-            assert(layout.valid());
-        }
-
-        EpochRecord rec;
-        rec.time = t;
-        rec.obs = static_obs;
-
-        lc_obs.clear();
-        be_obs.clear();
-        int dropped = 0;
-
-        // 2) Contention model under the current layout and loads,
-        //    then 3+4) advance queues and produce measurements —
-        //    together the epoch's "measure" phase.
-        {
-        obs::Span measure_span(cfg.obs, "measure");
-        node_.demandsAt(t, demands);
-        {
-            obs::Span span(cfg.obs, "model");
-            contention.evaluateInto(layout, demands,
-                                    cur->corePolicy(),
-                                    rec.outcomes);
-        }
-        const auto &outcomes = rec.outcomes;
-
-        for (AppId i = 0; i < n; ++i) {
-            const auto ui = static_cast<std::size_t>(i);
-            auto &o = rec.obs[ui];
-            const auto &out = outcomes[ui];
-            const auto &prof = node_.profile(i);
-
-            const int ways_now = layout.reachable(
-                i, ResourceKind::LlcWays);
-            const int cores_now = layout.reachable(
-                i, ResourceKind::Cores);
-            double overhead = 1.0;
-            if (cfg.overheadEnabled && prev_ways[ui] >= 0) {
-                const int d_ways =
-                    std::abs(ways_now - prev_ways[ui]);
-                const int d_cores =
-                    std::abs(cores_now - prev_cores[ui]);
-                overhead = std::min(
-                    2.0, 1.0 + cfg.overheadWaysFactor * d_ways +
-                        cfg.overheadCoresFactor * d_cores);
-            }
-            prev_ways[ui] = ways_now;
-            prev_cores[ui] = cores_now;
-
-            if (prof.latencyCritical) {
-                double load = node_.loadAt(i, t);
-                if (faulting) {
-                    // Injected load spikes scale the offered load,
-                    // saturating at the brink rather than diverging
-                    // (closed-loop generators bound concurrency).
-                    const double f = injector->loadFactor(i, t);
-                    if (f != 1.0) {
-                        const double spiked = load * f;
-                        load = spiked > load
-                            ? std::min(spiked, std::max(
-                                  load, kSpikeLoadCap))
-                            : std::max(spiked, 0.0);
-                    }
-                }
-                const double lambda = prof.arrivalRate(load);
-                // Cold-start stretch: a recently migrated app's
-                // effective service rates shrink while its caches
-                // re-warm (linear decay over the cold window).
-                double cold = 1.0;
-                if (any_cold && e < cold_epochs[ui]) {
-                    cold = 1.0 + cold_penalty[ui] *
-                        static_cast<double>(cold_epochs[ui] - e) /
-                        static_cast<double>(cold_epochs[ui]);
-                }
-                const double cap = out.serviceRate / cold;
-                const double per_server =
-                    out.perServerRate / cold;
-
-                // Explicit backlog dynamics with a generator-side
-                // cap on outstanding work.
-                const double queue_cap =
-                    lambda * cfg.queueCapSeconds + 32.0;
-                double b_new = backlog[ui] + (lambda - cap) * dt;
-                b_new = std::clamp(b_new, 0.0, queue_cap);
-                const double b_mid = 0.5 * (backlog[ui] + b_new);
-                backlog[ui] = b_new;
-
-                // Steady queueing term at a stabilised arrival rate
-                // plus the drain time of the carried backlog.
-                const double lam_eff =
-                    std::min(lambda, 0.98 * cap);
-                // Timeslice stretching (FairShare oversubscription)
-                // inflates the whole service tail.
-                const double svc_tail =
-                    prof.svcMultAt(cfg.tailPercentile) *
-                    out.serviceStretch;
-                double t95 = perf::sojournPercentileApprox(
-                    out.coreEquivalents, lam_eff, per_server,
-                    svc_tail, cfg.tailPercentile);
-                if (!std::isfinite(t95)) {
-                    t95 = svc_tail / per_server;
-                }
-                t95 += b_mid / std::max(cap, 1e-9);
-
-                double p95 = prof.baseLatencyMs + 1000.0 * t95;
-                p95 *= overhead;
-                p95 *= rng.lognormalNoise(cfg.noiseSigma);
-
-                double extra = 1.0;
-                const bool valid = !faulting ||
-                    injector->sampleMeasurement(i, e, t, &extra);
-                if (valid) {
-                    o.loadFraction = load;
-                    o.arrivalRate = lambda;
-                    o.p95Ms = p95 * extra;
-                    o.idealP95Ms = prof.soloTailPercentileMs(
-                        load, cfg.tailPercentile);
-                } else if (e > 0) {
-                    // Dropped sample: deliver the previous epoch's
-                    // delivered observation, flagged stale. Never
-                    // NaN — schedulers sort on these fields.
-                    o = last_obs[ui];
-                    o.sampleValid = false;
-                    ++dropped;
-                } else {
-                    // Dropped on the very first interval: no prior
-                    // delivery exists, so hand out the monitoring
-                    // agent's cold default (solo expectations).
-                    o.loadFraction = load;
-                    o.arrivalRate = lambda;
-                    o.idealP95Ms = prof.soloTailPercentileMs(
-                        load, cfg.tailPercentile);
-                    o.p95Ms = o.idealP95Ms;
-                    o.sampleValid = false;
-                    ++dropped;
-                }
-                lc_obs.push_back(
-                    {o.idealP95Ms, o.p95Ms, o.thresholdMs});
-            } else {
-                double ipc = out.ipc;
-                // Repartitioning costs BE throughput too (cold ways
-                // and thread migrations), at half the latency rate.
-                ipc /= 1.0 + 0.5 * (overhead - 1.0);
-                // Post-migration cold window slows BE apps the
-                // same way it stretches LC service times.
-                if (any_cold && e < cold_epochs[ui]) {
-                    ipc /= 1.0 + cold_penalty[ui] *
-                        static_cast<double>(cold_epochs[ui] - e) /
-                        static_cast<double>(cold_epochs[ui]);
-                }
-                ipc *= rng.lognormalNoise(cfg.noiseSigma);
-
-                double extra = 1.0;
-                const bool valid = !faulting ||
-                    injector->sampleMeasurement(i, e, t, &extra);
-                if (valid) {
-                    o.ipc = ipc * extra;
-                } else {
-                    if (e > 0)
-                        o = last_obs[ui];
-                    else
-                        o.ipc = o.ipcSolo;
-                    o.sampleValid = false;
-                    ++dropped;
-                }
-                be_obs.push_back({o.ipcSolo, o.ipc});
-            }
-        }
-        if (faulting) {
-            last_degraded = dropped > 0;
-            last_all_dropped = n > 0 && dropped == n;
-        }
-
-        rec.entropy = core::computeEntropy(lc_obs, be_obs, cfg.ri);
-        } // measure phase
-
-        // Counterfactual attribution of this epoch's measured
-        // interference. Post-warmup epochs only, matching the
-        // violation counter and the steady-state means the ledger
-        // is read next to; `demands` still holds exactly what the
-        // model evaluated above.
-        if (attributing && e >= result.warmupEpochs) {
-            obs::Span span(cfg.obs, "attribute");
-            attributor->attribute(layout, demands,
-                                  cur->corePolicy(), rec.outcomes,
-                                  node_.lcApps(),
-                                  rec.entropy.lcDetail,
-                                  attr_shares);
-            std::size_t s = 0;
-            while (s < attr_shares.size()) {
-                const machine::AppId victim = attr_shares[s].victim;
-                std::size_t end = s;
-                while (end < attr_shares.size() &&
-                       attr_shares[end].victim == victim)
-                    ++end;
-                const std::string &vname =
-                    node_.profile(victim).name;
-                for (std::size_t k = s; k < end; ++k) {
-                    const obs::AttributionShare &sh =
-                        attr_shares[k];
-                    result.attribution.add(
-                        vname,
-                        sh.culprit == obs::kNoiseCulprit
-                            ? obs::kNoiseCulpritName
-                            : node_.profile(sh.culprit).name,
-                        obs::interferenceResourceName(sh.resource),
-                        sh.share);
-                }
-                if (epoch_traced) {
-                    std::vector<std::string> culprits, resources;
-                    std::vector<double> shares;
-                    culprits.reserve(end - s);
-                    resources.reserve(end - s);
-                    shares.reserve(end - s);
-                    for (std::size_t k = s; k < end; ++k) {
-                        const obs::AttributionShare &sh =
-                            attr_shares[k];
-                        culprits.push_back(
-                            sh.culprit == obs::kNoiseCulprit
-                                ? obs::kNoiseCulpritName
-                                : node_.profile(sh.culprit).name);
-                        resources.push_back(
-                            obs::interferenceResourceName(
-                                sh.resource));
-                        shares.push_back(sh.share);
-                    }
-                    obs::Event ev("attribution");
-                    ev.str("app", vname)
-                        .num("r_i",
-                             rec.entropy
-                                 .lcDetail[static_cast<std::size_t>(
-                                     lc_index[static_cast<
-                                         std::size_t>(victim)])]
-                                 .interference)
-                        .strs("culprits", culprits)
-                        .strs("resources", resources)
-                        .nums("shares", shares);
-                    cfg.obs.atEpoch(e).emit(ev);
-                }
-                s = end;
-            }
-            cfg.obs.count("attr.epochs");
-        }
-
-        if (auditing) {
-            obs::Span span(cfg.obs, "audit");
-            auditor.afterEpoch(rec.entropy, cfg.ri, !lc_obs.empty(),
-                               !be_obs.empty(), e, t);
-        }
-        rec.regionRes.reserve(
-            static_cast<std::size_t>(layout.numRegions()));
-        for (int r = 0; r < layout.numRegions(); ++r)
-            rec.regionRes.push_back(layout.region(r).res);
-        rec.layout = layout;
-
-        if (tsr != nullptr) {
-            series.eS->record(e, rec.entropy.eS);
-            series.eLc->record(e, rec.entropy.eLc);
-            series.eBe->record(e, rec.entropy.eBe);
-            std::size_t lc_j = 0;
-            int epoch_violations = 0;
-            for (AppId i = 0; i < n; ++i) {
-                const auto ui = static_cast<std::size_t>(i);
-                const auto &o = rec.obs[ui];
-                // prev_ways/prev_cores hold this epoch's values at
-                // this point (updated in the measure phase above).
-                series.cores[ui]->record(e, prev_cores[ui]);
-                series.ways[ui]->record(e, prev_ways[ui]);
-                if (o.latencyCritical) {
-                    series.p95[ui]->record(e, o.p95Ms);
-                    series.queue[ui]->record(e, backlog[ui]);
-                    if (lc_j < rec.entropy.lcDetail.size()) {
-                        series.ret[ui]->record(
-                            e, rec.entropy.lcDetail[lc_j]
-                                   .remainingTolerance);
-                    }
-                    ++lc_j;
-                    if (o.p95Ms >
-                        o.thresholdMs *
-                            (1.0 + core::kThresholdElasticity))
-                        ++epoch_violations;
-                } else {
-                    series.ipc[ui]->record(e, o.ipc);
-                }
-            }
-            series.violations->record(e, epoch_violations);
-            series.faults->record(e, dropped);
-        }
-
-        if (epoch_traced) {
-            std::vector<double> p95, ipc;
-            p95.reserve(static_cast<std::size_t>(n));
-            ipc.reserve(static_cast<std::size_t>(n));
-            for (const auto &o : rec.obs) {
-                p95.push_back(o.latencyCritical ? o.p95Ms : 0.0);
-                ipc.push_back(o.latencyCritical ? 0.0 : o.ipc);
-            }
-            obs::Event ev("epoch");
-            ev.num("t", t)
-                .num("e_lc", rec.entropy.eLc)
-                .num("e_be", rec.entropy.eBe)
-                .num("e_s", rec.entropy.eS)
-                .nums("p95_ms", p95)
-                .nums("ipc", ipc);
-            cfg.obs.atEpoch(e).emit(ev);
-        }
-
-        // SLO burn-rate monitoring: every LC app's violation bit
-        // (the elastic QoS predicate the violation counters use)
-        // feeds the dual-window detector. Alert transitions emit
-        // unconditionally of trace sampling, like `violation` —
-        // alerts are the signal sampling must not drop.
-        if (slo_on) {
-            for (AppId i = 0; i < n; ++i) {
-                const auto ui = static_cast<std::size_t>(i);
-                const auto &o = rec.obs[ui];
-                if (!o.latencyCritical)
-                    continue;
-                const bool viol = o.p95Ms >
-                    o.thresholdMs *
-                        (1.0 + core::kThresholdElasticity);
-                const obs::SloAlertTransition tr =
-                    slo_monitor->observe(i, e, viol);
-                if (tr.kind ==
-                    obs::SloAlertTransition::Kind::Raise) {
-                    cfg.obs.count("slo.alert_raised");
-                    if (tracing) {
-                        obs::Event ev("alert_raise");
-                        ev.str("app", node_.profile(i).name)
-                            .num("burn_fast", tr.burnFast)
-                            .num("burn_slow", tr.burnSlow);
-                        cfg.obs.atEpoch(e).emit(ev);
-                    }
-                } else if (tr.kind ==
-                           obs::SloAlertTransition::Kind::Clear) {
-                    cfg.obs.count("slo.alert_cleared");
-                    if (tracing) {
-                        obs::Event ev("alert_clear");
-                        ev.str("app", node_.profile(i).name)
-                            .integer("duration", tr.durationEpochs)
-                            .num("burn_fast", tr.burnFast)
-                            .num("burn_slow", tr.burnSlow);
-                        cfg.obs.atEpoch(e).emit(ev);
-                    }
-                }
-            }
-        }
-        cfg.obs.count("sim.epochs");
-
-        // ---- steady-state aggregation (incremental) --------------
-        // Summed here, in epoch order, rather than in a post-run
-        // scan over result.epochs: the sums visit the same values
-        // in the same order, so aggregates are bitwise identical —
-        // and a keepEpochs=false run never needs the record vector
-        // at all (O(1) resident state instead of O(epochs)).
-        if (e >= result.warmupEpochs) {
-            result.meanELc += rec.entropy.eLc;
-            result.meanEBe += rec.entropy.eBe;
-            result.meanES += rec.entropy.eS;
-            for (AppId i = 0; i < n; ++i) {
-                const auto ui = static_cast<std::size_t>(i);
-                const auto &o = rec.obs[ui];
-                if (o.latencyCritical) {
-                    result.meanP95Ms[ui] += o.p95Ms;
-                    result.steadyMeanLoad[ui] += o.loadFraction;
-                    if (o.p95Ms > o.thresholdMs *
-                            (1.0 + core::kThresholdElasticity)) {
-                        ++result.violations;
-                    }
-                } else {
-                    result.meanIpc[ui] += o.ipc;
-                }
-            }
-            ++steady;
-        }
-
-        last_obs = rec.obs;
-        if (cfg.keepEpochs) {
-            rec.queueBacklog.assign(backlog.begin(),
-                                    backlog.end());
-            rec.policyArm = cur_arm;
-            result.epochs.push_back(std::move(rec));
-        }
-    }
-
-    if (steady > 0) {
-        result.meanELc /= steady;
-        result.meanEBe /= steady;
-        result.meanES /= steady;
-        for (auto &v : result.meanP95Ms)
-            v /= steady;
-        for (auto &v : result.meanIpc)
-            v /= steady;
-        for (auto &v : result.steadyMeanLoad)
-            v /= steady;
-    }
-
-    int lc_total = 0, lc_ok = 0;
-    for (AppId i = 0; i < n; ++i) {
-        const auto &prof = node_.profile(i);
-        if (!prof.latencyCritical)
-            continue;
-        ++lc_total;
-        if (result.meanP95Ms[static_cast<std::size_t>(i)] <=
-            prof.tailThresholdMs *
-                (1.0 + core::kThresholdElasticity)) {
-            ++lc_ok;
-        }
-    }
-    result.yieldValue = lc_total > 0 ?
-        static_cast<double>(lc_ok) / lc_total : 1.0;
-
-    if (slo_on) {
-        result.slo = slo_monitor->summary();
-        cfg.obs.count("slo.alert_epochs",
-                      static_cast<double>(result.slo.alertEpochs));
-    }
-    if (attributing)
-        cfg.obs.count("attr.evals",
-                      static_cast<double>(
-                          attributor->evaluations()));
-
-    if (tracing) {
-        obs::Event ev("run_end");
-        ev.str("scheduler", cur->name())
-            .num("mean_e_lc", result.meanELc)
-            .num("mean_e_be", result.meanEBe)
-            .num("mean_e_s", result.meanES)
-            .num("yield", result.yieldValue)
-            .integer("violations", result.violations);
-        cfg.obs.emit(ev);
-    }
-    cfg.obs.count("sim.runs");
-    cfg.obs.count("sim.violations", result.violations);
-    cfg.obs.observe("sim.mean_e_s", result.meanES);
-    return result;
+    return EpochKernel(node_, cfg, arms.data(), schedule).run();
 }
 
 } // namespace ahq::cluster

@@ -167,9 +167,8 @@ struct SimulationConfig
 /**
  * Epoch→arm mapping driving the policy-swap seam: epoch e runs
  * under arms[blockArm[e / blockEpochs]] (the last block absorbs
- * any trailing epochs). A null schedule — the single-scheduler
- * run() — costs exactly one branch per epoch, the same contract as
- * the fault and audit seams.
+ * any trailing epochs). An empty schedule pins arm 0 — the
+ * single-scheduler run() — at one comparison per epoch.
  */
 struct PolicySchedule
 {
@@ -322,10 +321,6 @@ class EpochSimulator
   private:
     Node node_;
     SimulationConfig cfg;
-
-    SimulationResult
-    runImpl(sched::Scheduler *const *arms, std::size_t num_arms,
-            const PolicySchedule *schedule) const;
 };
 
 } // namespace ahq::cluster

@@ -36,6 +36,8 @@ Fleet::addNode(Node node, std::unique_ptr<sched::Scheduler> scheduler)
 void
 FleetAccumulator::add(const Node &node, const SimulationResult &res)
 {
+    assert(res.steadyMeanLoad.size() ==
+           static_cast<std::size_t>(node.numApps()));
     violations += res.violations;
     for (machine::AppId i = 0; i < node.numApps(); ++i) {
         const auto &p = node.profile(i);
@@ -46,25 +48,7 @@ FleetAccumulator::add(const Node &node, const SimulationResult &res)
             // reference must be too (a trace still ramping during
             // warmup would otherwise drag the reference below the
             // regime the steady tail was measured in).
-            double mean_load = 0.0;
-            if (ui < res.steadyMeanLoad.size()) {
-                mean_load = res.steadyMeanLoad[ui];
-            } else if (!res.epochs.empty()) {
-                // Hand-built result without steadyMeanLoad: derive
-                // it from the retained epochs, post-warmup only.
-                double load_sum = 0.0;
-                int steady = 0;
-                for (std::size_t e = static_cast<std::size_t>(
-                         std::max(res.warmupEpochs, 0));
-                     e < res.epochs.size(); ++e) {
-                    load_sum += res.epochs[e].obs[ui].loadFraction;
-                    ++steady;
-                }
-                if (steady > 0)
-                    mean_load =
-                        load_sum / static_cast<double>(steady);
-            }
-            lc.push_back({p.soloTailP95Ms(mean_load),
+            lc.push_back({p.soloTailP95Ms(res.steadyMeanLoad[ui]),
                           res.meanP95Ms[ui], p.tailThresholdMs});
         } else {
             be.push_back({p.ipcSolo, res.meanIpc[ui]});
@@ -84,18 +68,6 @@ core::EntropyReport
 FleetAccumulator::entropy(double ri) const
 {
     return core::computeEntropy(lc, be, ri);
-}
-
-core::EntropyReport
-fleetEntropy(const std::vector<const Node *> &nodes,
-             const std::vector<const SimulationResult *> &results,
-             double ri)
-{
-    assert(nodes.size() == results.size());
-    FleetAccumulator acc;
-    for (std::size_t n = 0; n < nodes.size(); ++n)
-        acc.add(*nodes[n], *results[n]);
-    return acc.entropy(ri);
 }
 
 void
@@ -157,9 +129,8 @@ Fleet::run(const SimulationConfig &config, exec::ThreadPool *pool)
     // Fleet-level fault handling: node_crash directives coalesce to
     // the earliest crash epoch; every crashed node stops there and
     // its apps fail over to the survivors. Without valid crashes
-    // (or without survivors to fail over to) the run takes the
-    // exact single-phase path below, byte-identical to pre-fault
-    // builds.
+    // (or without survivors to fail over to) the run is the single
+    // phase A below, byte-identical to pre-fault builds.
     const int total_epochs = static_cast<int>(
         std::round(config.durationSeconds / config.epochSeconds));
     std::vector<int> crashed;
@@ -183,90 +154,115 @@ Fleet::run(const SimulationConfig &config, exec::ThreadPool *pool)
     const bool crashing = !crashed.empty() &&
         static_cast<int>(crashed.size()) < numNodes();
 
-    if (!crashing) {
-        // While tracing, each node's run writes into a private
-        // buffer; the buffers flush in node order below, keeping
-        // fleet traces byte-identical at any thread count.
-        std::vector<obs::BufferTraceSink> buffers(
-            tracing ? nodes_.size() : 0);
-        std::vector<FleetAccumulator> accums;
-        runEntries(nodes_, config, scope, tracing, 0, "", nullptr,
-                   buffers, out.nodes, accums, p);
-        for (const auto &res : out.nodes) {
-            out.violations += res.violations;
-            out.attribution.merge(res.attribution);
-            out.slo.merge(res.slo);
-        }
-
-        // Streaming reduce: the per-node accumulators built on the
-        // pool merge in node order, so the pooled observation
-        // sequence — and therefore the E_S bits — match the old
-        // collect-then-reduce path at any thread count, without
-        // the per-epoch records ever being required.
-        const auto rep = [&] {
-            obs::Span span(scope, "fleet.entropy");
-            FleetAccumulator pooled;
-            for (const auto &acc : accums)
-                pooled.merge(acc);
-            return pooled.entropy(config.ri);
-        }();
-        out.eLc = rep.eLc;
-        out.eBe = rep.eBe;
-        out.eS = rep.eS;
-        out.yieldValue = rep.yieldValue;
-
-        if (tracing) {
-            for (std::size_t n = 0; n < nodes_.size(); ++n) {
-                buffers[n].flushTo(*scope.sink);
-                obs::Event ev("fleet_node");
-                ev.integer("node", static_cast<long long>(n))
-                    .str("colocation", nodes_[n].node.describe())
-                    .str("scheduler", nodes_[n].scheduler->name())
-                    .num("mean_e_s", out.nodes[n].meanES)
-                    .integer("violations",
-                             out.nodes[n].violations);
+    // ---- phase A: every node runs to the end or the crash --------
+    SimulationConfig cfg_a = config;
+    if (crashing) {
+        cfg_a.durationSeconds = crash_epoch * config.epochSeconds;
+        out.crashedNodes = crashed;
+        for (int n : crashed) {
+            scope.count("fault.node_crash");
+            if (tracing) {
+                obs::Event ev("fault");
+                ev.str("fault", "node_crash")
+                    .integer("node", n)
+                    .num("t", cfg_a.durationSeconds);
                 scope.emit(ev);
             }
-            obs::Event ev("fleet_end");
-            ev.num("e_lc", out.eLc)
-                .num("e_be", out.eBe)
-                .num("e_s", out.eS)
-                .num("yield", out.yieldValue)
-                .integer("violations", out.violations);
-            scope.emit(ev);
-        }
-        scope.count("fleet.runs");
-        return out;
-    }
-
-    // ---- phase A: every node runs up to the crash instant --------
-    const double ta = crash_epoch * config.epochSeconds;
-    out.crashedNodes = crashed;
-    for (int n : crashed) {
-        scope.count("fault.node_crash");
-        if (tracing) {
-            obs::Event ev("fault");
-            ev.str("fault", "node_crash")
-                .integer("node", n)
-                .num("t", ta);
-            scope.emit(ev);
         }
     }
-
-    SimulationConfig cfg_a = config;
-    cfg_a.durationSeconds = ta;
-    std::vector<obs::BufferTraceSink> buf_a(
+    // While tracing, each node's run writes into a private buffer;
+    // the buffers flush in node order below, keeping fleet traces
+    // byte-identical at any thread count.
+    std::vector<obs::BufferTraceSink> buffers(
         tracing ? nodes_.size() : 0);
-    std::vector<SimulationResult> res_a;
-    std::vector<FleetAccumulator> acc_a;
-    runEntries(nodes_, cfg_a, scope, tracing, 0, "", nullptr, buf_a,
-               res_a, acc_a, p);
+    std::vector<FleetAccumulator> accums;
+    runEntries(nodes_, cfg_a, scope, tracing, 0, "", nullptr,
+               buffers, out.nodes, accums, p);
+
+    // ---- phase B: survivors finish the run with the refugees -----
+    Recovery rec;
+    if (crashing)
+        rec = recover(config, crash_epoch, crashed, out, p);
+
+    for (const auto &res : out.nodes) {
+        out.violations += res.violations;
+        out.attribution.merge(res.attribution);
+        out.slo.merge(res.slo);
+    }
+
+    // Streaming reduce: the per-node accumulators built on the pool
+    // merge in node order, so the pooled observation sequence — and
+    // therefore the E_S bits — are identical at any thread count.
+    // After a crash the datacenter entropy describes the recovered
+    // fleet (the phase B accumulators).
+    const auto rep = [&] {
+        obs::Span span(scope, "fleet.entropy");
+        FleetAccumulator pooled;
+        for (const auto &acc : crashing ? rec.accums : accums)
+            pooled.merge(acc);
+        return pooled.entropy(config.ri);
+    }();
+    out.eLc = rep.eLc;
+    out.eBe = rep.eBe;
+    out.eS = rep.eS;
+    out.yieldValue = rep.yieldValue;
+
+    if (tracing) {
+        std::size_t s = 0;
+        for (std::size_t n = 0; n < nodes_.size(); ++n) {
+            buffers[n].flushTo(*scope.sink);
+            const bool recovered = crashing &&
+                !std::binary_search(crashed.begin(), crashed.end(),
+                                    static_cast<int>(n));
+            const Entry &entry =
+                recovered ? rec.entries[s] : nodes_[n];
+            if (recovered)
+                rec.buffers[s++].flushTo(*scope.sink);
+            obs::Event ev("fleet_node");
+            ev.integer("node", static_cast<long long>(n))
+                .str("colocation", entry.node.describe())
+                .str("scheduler", entry.scheduler->name())
+                .num("mean_e_s", out.nodes[n].meanES)
+                .integer("violations", out.nodes[n].violations);
+            if (crashing)
+                ev.str("status", recovered ? "recovered" : "crashed");
+            scope.emit(ev);
+        }
+        obs::Event ev("fleet_end");
+        ev.num("e_lc", out.eLc)
+            .num("e_be", out.eBe)
+            .num("e_s", out.eS)
+            .num("yield", out.yieldValue)
+            .integer("violations", out.violations);
+        if (crashing)
+            ev.integer("failovers", out.failovers);
+        scope.emit(ev);
+    }
+
+    // Hand the survivors' schedulers back so the Fleet stays
+    // reusable for another run.
+    for (std::size_t s = 0; s < rec.survivors.size(); ++s) {
+        nodes_[static_cast<std::size_t>(rec.survivors[s])].scheduler =
+            std::move(rec.entries[s].scheduler);
+    }
+    scope.count("fleet.runs");
+    return out;
+}
+
+Fleet::Recovery
+Fleet::recover(const SimulationConfig &config, int crash_epoch,
+               const std::vector<int> &crashed, FleetResult &out,
+               exec::ThreadPool &p)
+{
+    const obs::Scope &scope = config.obs;
+    const bool tracing = scope.tracing();
+    const double ta = crash_epoch * config.epochSeconds;
 
     // ---- failover: re-place crashed apps onto the survivors ------
-    std::vector<int> survivors;
+    Recovery rec;
     for (int n = 0; n < numNodes(); ++n) {
         if (!std::binary_search(crashed.begin(), crashed.end(), n))
-            survivors.push_back(n);
+            rec.survivors.push_back(n);
     }
     std::vector<ColocatedApp> refugees;
     for (int n : crashed) {
@@ -275,7 +271,7 @@ Fleet::run(const SimulationConfig &config, exec::ThreadPool *pool)
             refugees.push_back(a);
     }
     std::vector<std::vector<ColocatedApp>> initial;
-    for (int n : survivors) {
+    for (int n : rec.survivors) {
         initial.push_back(
             nodes_[static_cast<std::size_t>(n)].node.apps());
     }
@@ -291,10 +287,10 @@ Fleet::run(const SimulationConfig &config, exec::ThreadPool *pool)
     trial.keepEpochs = false;
 
     const auto &first =
-        nodes_[static_cast<std::size_t>(survivors.front())];
+        nodes_[static_cast<std::size_t>(rec.survivors.front())];
     const std::string strategy = first.scheduler->name();
     PlacementAdvisor advisor(
-        first.node.config(), static_cast<int>(survivors.size()),
+        first.node.config(), static_cast<int>(rec.survivors.size()),
         [strategy] { return sched::makeScheduler(strategy); });
     // The trial scope is stripped (trial.obs = {}), so no trial
     // simulation records spans — the placement search appears as
@@ -316,117 +312,45 @@ Fleet::run(const SimulationConfig &config, exec::ThreadPool *pool)
         scope.emit(ev);
     }
 
-    // ---- phase B: survivors finish the run with the refugees -----
-    std::vector<Entry> phase_b;
-    for (std::size_t s = 0; s < survivors.size(); ++s) {
+    for (std::size_t s = 0; s < rec.survivors.size(); ++s) {
         auto apps = initial[s];
         for (std::size_t r = 0; r < refugees.size(); ++r) {
             if (placement.assignment[r] == static_cast<int>(s))
                 apps.push_back(refugees[r]);
         }
         auto &entry =
-            nodes_[static_cast<std::size_t>(survivors[s])];
-        phase_b.push_back({Node(entry.node.config(),
-                                std::move(apps)),
-                           std::move(entry.scheduler)});
+            nodes_[static_cast<std::size_t>(rec.survivors[s])];
+        rec.entries.push_back({Node(entry.node.config(),
+                                    std::move(apps)),
+                               std::move(entry.scheduler)});
     }
 
     SimulationConfig cfg_b = config;
     cfg_b.durationSeconds = config.durationSeconds - ta;
     cfg_b.warmupEpochs =
         std::max(0, config.warmupEpochs - crash_epoch);
-    std::vector<obs::BufferTraceSink> buf_b(
-        tracing ? phase_b.size() : 0);
+    rec.buffers = std::vector<obs::BufferTraceSink>(
+        tracing ? rec.entries.size() : 0);
     std::vector<SimulationResult> res_b;
-    std::vector<FleetAccumulator> acc_b;
-    runEntries(phase_b, cfg_b, scope, tracing, kRecoverySeedSalt,
-               "/recovered", &survivors, buf_b, res_b, acc_b, p);
+    runEntries(rec.entries, cfg_b, scope, tracing, kRecoverySeedSalt,
+               "/recovered", &rec.survivors, rec.buffers, res_b,
+               rec.accums, p);
 
-    // Crashed slots report their phase A segment; survivors report
+    // Crashed slots keep their phase A segment; survivors report
     // the recovered segment they finished with — but their QoS
-    // violations cover the whole run: a violation a survivor
-    // incurred *before* the crash happened and must not vanish
-    // from the fleet totals just because its slot was overwritten
-    // with the phase B segment.
-    out.nodes.resize(nodes_.size());
-    for (int n : crashed)
-        out.nodes[static_cast<std::size_t>(n)] = std::move(
-            res_a[static_cast<std::size_t>(n)]);
-    for (std::size_t s = 0; s < survivors.size(); ++s) {
+    // violations, blame ledger and alert tallies cover the whole
+    // run: what a survivor incurred *before* the crash happened and
+    // must not vanish from the fleet totals.
+    for (std::size_t s = 0; s < rec.survivors.size(); ++s) {
         auto &slot =
-            out.nodes[static_cast<std::size_t>(survivors[s])];
+            out.nodes[static_cast<std::size_t>(rec.survivors[s])];
+        const SimulationResult before = std::move(slot);
         slot = std::move(res_b[s]);
-        const auto &before =
-            res_a[static_cast<std::size_t>(survivors[s])];
         slot.violations += before.violations;
-        // Same whole-run accounting for the blame ledger and the
-        // alert tallies: attribution a survivor accumulated before
-        // the crash stays in the fleet totals.
         slot.attribution.merge(before.attribution);
         slot.slo.merge(before.slo);
     }
-    for (const auto &res : out.nodes) {
-        out.violations += res.violations;
-        out.attribution.merge(res.attribution);
-        out.slo.merge(res.slo);
-    }
-
-    // The datacenter entropy describes the post-recovery fleet:
-    // merge the phase B accumulators in node order.
-    const auto rep = [&] {
-        obs::Span span(scope, "fleet.entropy");
-        FleetAccumulator pooled;
-        for (const auto &acc : acc_b)
-            pooled.merge(acc);
-        return pooled.entropy(config.ri);
-    }();
-    out.eLc = rep.eLc;
-    out.eBe = rep.eBe;
-    out.eS = rep.eS;
-    out.yieldValue = rep.yieldValue;
-
-    if (tracing) {
-        std::size_t s = 0;
-        for (std::size_t n = 0; n < nodes_.size(); ++n) {
-            buf_a[n].flushTo(*scope.sink);
-            const bool survived = !std::binary_search(
-                crashed.begin(), crashed.end(),
-                static_cast<int>(n));
-            if (survived)
-                buf_b[s].flushTo(*scope.sink);
-            obs::Event ev("fleet_node");
-            ev.integer("node", static_cast<long long>(n))
-                .str("colocation",
-                     survived ? phase_b[s].node.describe()
-                              : nodes_[n].node.describe())
-                .str("scheduler",
-                     survived ? phase_b[s].scheduler->name()
-                              : nodes_[n].scheduler->name())
-                .num("mean_e_s", out.nodes[n].meanES)
-                .integer("violations", out.nodes[n].violations)
-                .str("status", survived ? "recovered" : "crashed");
-            scope.emit(ev);
-            if (survived)
-                ++s;
-        }
-        obs::Event ev("fleet_end");
-        ev.num("e_lc", out.eLc)
-            .num("e_be", out.eBe)
-            .num("e_s", out.eS)
-            .num("yield", out.yieldValue)
-            .integer("violations", out.violations)
-            .integer("failovers", out.failovers);
-        scope.emit(ev);
-    }
-
-    // Hand the survivors' schedulers back so the Fleet stays
-    // reusable for another run.
-    for (std::size_t s = 0; s < survivors.size(); ++s) {
-        nodes_[static_cast<std::size_t>(survivors[s])].scheduler =
-            std::move(phase_b[s].scheduler);
-    }
-    scope.count("fleet.runs");
-    return out;
+    return rec;
 }
 
 PlacementAdvisor::PlacementAdvisor(

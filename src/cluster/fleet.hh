@@ -51,9 +51,8 @@ struct FleetAccumulator
      * post-warmup aggregate, so pooling it against a load average
      * that included warmup epochs (where a trace may still be
      * ramping) would compare the steady tail against a reference
-     * the steady state never saw. Results lacking steadyMeanLoad
-     * (hand-built) fall back to scanning res.epochs from
-     * res.warmupEpochs on — the identical sum.
+     * the steady state never saw. Every simulator result carries
+     * steadyMeanLoad; add() asserts it.
      */
     void add(const Node &node, const SimulationResult &res);
 
@@ -156,6 +155,29 @@ class Fleet
     };
     std::vector<Entry> nodes_;
 
+    /** Phase B of a crash run: the survivors with the refugees. */
+    struct Recovery
+    {
+        /** Surviving node ids, ascending. */
+        std::vector<int> survivors;
+
+        /** Survivor s's recovered colocation and its scheduler. */
+        std::vector<Entry> entries;
+
+        std::vector<obs::BufferTraceSink> buffers;
+        std::vector<FleetAccumulator> accums;
+    };
+
+    /**
+     * Fail the crashed nodes' apps over to the survivors (placed by
+     * the PlacementAdvisor), run phase B and fold it into `out`:
+     * survivor slots take the recovered segment plus their phase A
+     * violations, ledger and alert tallies.
+     */
+    Recovery recover(const SimulationConfig &config, int crash_epoch,
+                     const std::vector<int> &crashed, FleetResult &out,
+                     exec::ThreadPool &p);
+
     /**
      * Run one phase over a set of entries in parallel. `ids` maps
      * entry index to the original node id for tags and seeds
@@ -176,19 +198,6 @@ class Fleet
                            std::vector<FleetAccumulator> &accums,
                            exec::ThreadPool &p);
 };
-
-/**
- * Pool per-node steady-state measurements into a datacenter-wide
- * entropy report (exposed for tests and custom aggregation).
- *
- * @param nodes The colocations, in the same order as results.
- * @param results Their simulation results.
- * @param ri Relative importance for the pooled E_S.
- */
-core::EntropyReport
-fleetEntropy(const std::vector<const Node *> &nodes,
-             const std::vector<const SimulationResult *> &results,
-             double ri = core::kDefaultRelativeImportance);
 
 /**
  * Greedy entropy-driven placement: assign applications to a fixed

@@ -114,16 +114,14 @@ systemEntropy(double e_lc, double e_be, double ri, bool has_lc,
 }
 
 double
-yield(const std::vector<LcObservation> &lc, double elasticity)
+yield(const std::vector<LcObservation> &lc)
 {
     if (lc.empty())
         return 1.0;
     int satisfied = 0;
     for (const auto &obs : lc) {
-        if (obs.actualTailMs <=
-            obs.thresholdMs * (1.0 + elasticity)) {
+        if (meetsQos(obs.actualTailMs, obs.thresholdMs))
             ++satisfied;
-        }
     }
     return static_cast<double>(satisfied) /
         static_cast<double>(lc.size());

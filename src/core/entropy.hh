@@ -32,6 +32,17 @@ inline constexpr double kDefaultRelativeImportance = 0.8;
 /** The paper's assumed relative elasticity of the QoS target M_i. */
 inline constexpr double kThresholdElasticity = 0.05;
 
+/**
+ * The QoS predicate: a tail latency meets its target M_i when it is
+ * within the elasticity-relaxed threshold. Every violation counter,
+ * the SLO bit and the yield use this one comparison.
+ */
+inline bool
+meetsQos(double tailMs, double thresholdMs)
+{
+    return tailMs <= thresholdMs * (1.0 + kThresholdElasticity);
+}
+
 /** One LC application's observed latencies for an interval. */
 struct LcObservation
 {
@@ -91,13 +102,12 @@ double systemEntropy(double e_lc, double e_be, double ri, bool has_lc,
 
 /**
  * Yield: the fraction of LC applications whose observed tail latency
- * satisfies its (elasticity-relaxed) QoS target (§I, §VI-A).
+ * satisfies its (elasticity-relaxed) QoS target (§I, §VI-A; see
+ * meetsQos()).
  *
  * @param lc Observations.
- * @param elasticity Relative slack on M_i (the paper uses 5%).
  */
-double yield(const std::vector<LcObservation> &lc,
-             double elasticity = kThresholdElasticity);
+double yield(const std::vector<LcObservation> &lc);
 
 /** Complete entropy accounting for one monitoring interval. */
 struct EntropyReport

@@ -79,9 +79,7 @@ extractBlocks(const cluster::SimulationResult &res,
                 ++lc_samples;
                 s.meanQueue += rec.queueBacklog[i];
                 s.meanArrivalRate += o.arrivalRate;
-                if (o.p95Ms >
-                    o.thresholdMs *
-                        (1.0 + core::kThresholdElasticity))
+                if (!core::meetsQos(o.p95Ms, o.thresholdMs))
                     ++viols;
             }
         }

@@ -210,7 +210,6 @@ TEST(Yield, CountsElasticallySatisfiedApps)
         {1.0, 8.0, 4.0},  // violated
     };
     EXPECT_NEAR(yield(lc), 2.0 / 3.0, 1e-12);
-    EXPECT_NEAR(yield(lc, 0.0), 1.0 / 3.0, 1e-12);
     EXPECT_EQ(yield({}), 1.0);
 }
 

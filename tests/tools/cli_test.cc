@@ -136,6 +136,37 @@ TEST(CliParse, NumericValidationIsActionable)
                      "--metrics does not take a value");
 }
 
+TEST(CliParse, WarmupCoveringTheWholeRunIsRejected)
+{
+    // 10 s at 0.5 s epochs is 20 epochs: a warmup of 20 or more
+    // leaves no steady state, and E_S = 0 / yield = 1 would be a
+    // vacuous perfect score.
+    auto opts = [](const char *warmup) {
+        return parseSimulateArgs(
+            {"--warmup", warmup, "--duration", "10", "xapian=0.5"});
+    };
+    EXPECT_NO_THROW(requireSteadyEpochs(opts("19")));
+    EXPECT_THROW(requireSteadyEpochs(opts("20")),
+                 std::invalid_argument);
+
+    // Every verb that reports steady-state aggregates exits 2 with a
+    // message naming both numbers, before simulating anything.
+    for (const std::string verb :
+         {"simulate", "sweep", "chaos", "fleet"}) {
+        std::vector<std::string> args{verb, "--warmup", "100000",
+                                      "--duration", "10"};
+        if (verb != "fleet")
+            args.push_back("xapian=0.5");
+        std::ostringstream out, err;
+        EXPECT_EQ(dispatch(args, out, err), 2) << verb;
+        EXPECT_NE(err.str().find("--warmup 100000"), std::string::npos)
+            << verb << ": " << err.str();
+        EXPECT_NE(err.str().find("runs 20 epochs"), std::string::npos)
+            << verb << ": " << err.str();
+        EXPECT_EQ(out.str().find("E_S"), std::string::npos) << verb;
+    }
+}
+
 TEST(CliSimulate, BadFlagsFailBeforeRunning)
 {
     // End-to-end: exit code 2 (usage error) and a flag-naming

@@ -294,6 +294,22 @@ parseSimulateArgs(const std::vector<std::string> &args,
 }
 
 void
+requireSteadyEpochs(const SimulateOptions &opt)
+{
+    const double epoch_s = cluster::SimulationConfig{}.epochSeconds;
+    const auto epochs = static_cast<long long>(
+        std::round(opt.durationSeconds / epoch_s));
+    if (opt.warmupEpochs < epochs)
+        return;
+    std::ostringstream msg;
+    msg << "--warmup " << opt.warmupEpochs
+        << " leaves no steady-state epoch: --duration "
+        << opt.durationSeconds << " runs " << epochs << " epochs of "
+        << epoch_s << " s (--warmup must be below " << epochs << ")";
+    throw std::invalid_argument(msg.str());
+}
+
+void
 parseObservationsCsv(const std::string &path,
                      std::vector<core::LcObservation> &lc,
                      std::vector<core::BeObservation> &be)
@@ -378,6 +394,7 @@ runSimulate(const std::vector<std::string> &args, std::ostream &out,
     SimulateOptions opt;
     try {
         opt = parseSimulateArgs(args);
+        requireSteadyEpochs(opt);
     } catch (const std::exception &e) {
         err << "error: " << e.what() << "\n";
         return 2;
@@ -602,6 +619,7 @@ runSweep(const std::vector<std::string> &args, std::ostream &out,
             throw std::invalid_argument(
                 "sweep needs at least one LC app (app=load)");
         }
+        requireSteadyEpochs(opt);
     } catch (const std::exception &e) {
         err << "error: " << e.what() << "\n";
         return 2;
@@ -733,6 +751,7 @@ runChaos(const std::vector<std::string> &args, std::ostream &out,
     SimulateOptions opt;
     try {
         opt = parseSimulateArgs(args, /*require_apps=*/false);
+        requireSteadyEpochs(opt);
     } catch (const std::exception &e) {
         err << "error: " << e.what() << "\n";
         return 2;

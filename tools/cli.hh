@@ -147,6 +147,16 @@ parseSimulateArgs(const std::vector<std::string> &args,
                   bool require_apps = true);
 
 /**
+ * Reject a warmup that covers the whole run (the verbs that report
+ * steady-state aggregates call this after parsing): with
+ * warmupEpochs >= round(duration / epoch) no steady-state epoch is
+ * left, and E_S = 0 / yield = 1 would be a vacuous perfect score.
+ *
+ * @throws std::invalid_argument naming both epoch counts.
+ */
+void requireSteadyEpochs(const SimulateOptions &opt);
+
+/**
  * Parse an observations CSV into entropy inputs.
  *
  * @throws std::invalid_argument on malformed rows,

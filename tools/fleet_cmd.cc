@@ -176,6 +176,7 @@ runFleet(const std::vector<std::string> &args, std::ostream &out,
                 "load generator; app specs are not accepted "
                 "(shape it with --nodes/--lc/--be/--tenants)");
         }
+        requireSteadyEpochs(opt);
     } catch (const std::exception &e) {
         err << "error: " << e.what() << "\n";
         return 2;
