@@ -135,6 +135,21 @@ canonicalNode(double xapian_load, double moses_load,
              cluster::be(be_app)});
 }
 
+cluster::Node
+eightAppNode()
+{
+    return cluster::Node(
+        machine::MachineConfig::xeonE52630v4(),
+        {cluster::lcAt(apps::moses(), 0.2),
+         cluster::lcAt(apps::xapian(), 0.2),
+         cluster::lcAt(apps::imgDnn(), 0.2),
+         cluster::lcAt(apps::sphinx(), 0.2),
+         cluster::lcAt(apps::masstree(), 0.2),
+         cluster::lcAt(apps::silo(), 0.2),
+         cluster::be(apps::fluidanimate()),
+         cluster::be(apps::streamcluster())});
+}
+
 core::EntropyCurve
 entropyVsCores(const std::string &strategy,
                const std::vector<int> &core_counts, int ways,

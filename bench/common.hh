@@ -100,6 +100,12 @@ canonicalNode(double xapian_load, double moses_load,
               const machine::MachineConfig &mc =
                   machine::MachineConfig::xeonE52630v4());
 
+/**
+ * Fig. 12's 6 LC + 2 BE colocation: Moses, Xapian, Img-dnn, Sphinx,
+ * Masstree and Silo at 20% load with Fluidanimate and Streamcluster.
+ */
+cluster::Node eightAppNode();
+
 /** Sweep helper: E_S as a function of available cores. */
 core::EntropyCurve
 entropyVsCores(const std::string &strategy,

@@ -26,22 +26,6 @@ using namespace ahq::bench;
 namespace
 {
 
-/** Fig. 12's 6 LC + 2 BE colocation. */
-cluster::Node
-eightAppNode()
-{
-    return cluster::Node(
-        machine::MachineConfig::xeonE52630v4(),
-        {cluster::lcAt(apps::moses(), 0.2),
-         cluster::lcAt(apps::xapian(), 0.2),
-         cluster::lcAt(apps::imgDnn(), 0.2),
-         cluster::lcAt(apps::sphinx(), 0.2),
-         cluster::lcAt(apps::masstree(), 0.2),
-         cluster::lcAt(apps::silo(), 0.2),
-         cluster::be(apps::fluidanimate()),
-         cluster::be(apps::streamcluster())});
-}
-
 /**
  * A deliberately over-colocated 32-app node (8 LC + 24 BE) on the
  * larger Gold 6248 so per-group resource minimums stay feasible.

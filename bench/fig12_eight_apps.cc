@@ -19,16 +19,7 @@ main()
     report::heading(std::cout,
                     "Fig. 12 — 6 LC + 2 BE colocation at 20% load");
 
-    cluster::Node node(
-        machine::MachineConfig::xeonE52630v4(),
-        {cluster::lcAt(apps::moses(), 0.2),
-         cluster::lcAt(apps::xapian(), 0.2),
-         cluster::lcAt(apps::imgDnn(), 0.2),
-         cluster::lcAt(apps::sphinx(), 0.2),
-         cluster::lcAt(apps::masstree(), 0.2),
-         cluster::lcAt(apps::silo(), 0.2),
-         cluster::be(apps::fluidanimate()),
-         cluster::be(apps::streamcluster())});
+    const cluster::Node node = eightAppNode();
 
     auto csv = openCsv("fig12.csv",
                        {"strategy", "app", "p95_ms", "threshold_ms",

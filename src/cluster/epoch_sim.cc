@@ -20,6 +20,7 @@
 #include <cmath>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "check/auditor.hh"
 #include "fault/injector.hh"
@@ -155,6 +156,12 @@ class SeriesRecorder
  * ledger rows and the `attribution` events. The attributor owns its
  * own contention model — the kernel's instance keeps mutable
  * scratch, so sharing it would be unsafe.
+ *
+ * Shares accumulate per run in a dense (victim, culprit, resource)
+ * array indexed by app name, in epoch order, and fold into the
+ * run's ledger once at the end: each cell sees the same additions
+ * in the same order as a per-epoch ledger add would, so the sums
+ * are bitwise equal, without building key strings every epoch.
  */
 class AttributionStep
 {
@@ -162,62 +169,114 @@ class AttributionStep
     AttributionStep(const Node &node, const perf::ContentionTraits &traits)
         : node_(node), attributor_(node.config(), traits)
     {
+        // Ledger rows are keyed by name, so apps sharing a name
+        // share a cell. Slot numApps() is the noise pseudo-culprit.
+        const AppId n = node.numApps();
+        for (AppId i = 0; i <= n; ++i) {
+            const std::string &name =
+                appName(node, i == n ? obs::kNoiseCulprit : i);
+            const auto it = std::find(names_.begin(), names_.end(), name);
+            slotOf_.push_back(
+                static_cast<std::size_t>(it - names_.begin()));
+            if (it == names_.end())
+                names_.push_back(name);
+        }
+        cells_.resize(names_.size() * names_.size() * kResources);
     }
 
     /** Attribute one epoch's measured interference. */
     void attribute(int e, const machine::RegionLayout &layout,
                    const std::vector<perf::AppDemand> &demands,
                    perf::CoreSharePolicy policy, const EpochRecord &rec,
-                   bool traced, const obs::Scope &scope,
-                   obs::AttributionLedger &ledger)
+                   bool traced, const obs::Scope &scope)
     {
         obs::Span span(scope, "attribute");
         attributor_.attribute(layout, demands, policy, rec.outcomes,
                               node_.lcApps(), rec.entropy.lcDetail,
                               shares_);
+        for (const obs::AttributionShare &sh : shares_) {
+            Cell &cell = cells_[(slot(sh.victim) * names_.size() +
+                                 slot(sh.culprit)) * kResources +
+                                static_cast<std::size_t>(sh.resource)];
+            cell.share += sh.share;
+            cell.epochs += 1;
+        }
         // Shares arrive grouped by victim.
-        std::size_t s = 0;
-        while (s < shares_.size()) {
-            const AppId victim = shares_[s].victim;
-            std::size_t end = s;
-            while (end < shares_.size() && shares_[end].victim == victim)
-                ++end;
-            const std::string &vname = node_.profile(victim).name;
-            for (std::size_t k = s; k < end; ++k) {
-                const obs::AttributionShare &sh = shares_[k];
-                ledger.add(vname, appName(node_, sh.culprit),
-                           obs::interferenceResourceName(sh.resource),
-                           sh.share);
-            }
-            if (traced)
+        if (traced) {
+            std::size_t s = 0;
+            while (s < shares_.size()) {
+                std::size_t end = s;
+                while (end < shares_.size() &&
+                       shares_[end].victim == shares_[s].victim)
+                    ++end;
                 emit(e, s, end, rec, scope);
-            s = end;
+                s = end;
+            }
         }
         scope.count("attr.epochs");
+    }
+
+    /** Fold the run's accumulated cells into its ledger. */
+    void foldInto(obs::AttributionLedger &ledger) const
+    {
+        const std::size_t u = names_.size();
+        for (std::size_t k = 0; k < cells_.size(); ++k) {
+            const Cell &cell = cells_[k];
+            if (cell.epochs == 0)
+                continue;
+            ledger.add(names_[k / kResources / u],
+                       names_[k / kResources % u],
+                       obs::interferenceResourceName(
+                           static_cast<obs::InterferenceResource>(
+                               k % kResources)),
+                       cell.share, cell.epochs);
+        }
     }
 
     long long evaluations() const { return attributor_.evaluations(); }
 
   private:
+    static constexpr std::size_t kResources = 4;
+
+    struct Cell
+    {
+        double share = 0.0;
+        long long epochs = 0;
+    };
+
     const Node &node_;
     obs::InterferenceAttributor attributor_;
     std::vector<obs::AttributionShare> shares_;
 
+    /** Distinct app names, and each app's (then noise's) index. */
+    std::vector<std::string_view> names_;
+    std::vector<std::size_t> slotOf_;
+    std::vector<Cell> cells_;
+
+    /** Event buffers, reused across events. */
+    std::vector<std::string> culprits_, resources_;
+    std::vector<double> eventShares_;
+
+    std::size_t slot(AppId id) const
+    {
+        return id == obs::kNoiseCulprit
+            ? slotOf_.back()
+            : slotOf_[static_cast<std::size_t>(id)];
+    }
+
     /** One `attribution` event for the victim of shares_[s, end). */
     void emit(int e, std::size_t s, std::size_t end,
-              const EpochRecord &rec, const obs::Scope &scope) const
+              const EpochRecord &rec, const obs::Scope &scope)
     {
         const AppId victim = shares_[s].victim;
-        std::vector<std::string> culprits, resources;
-        std::vector<double> shares;
-        culprits.reserve(end - s);
-        resources.reserve(end - s);
-        shares.reserve(end - s);
+        culprits_.clear();
+        resources_.clear();
+        eventShares_.clear();
         for (std::size_t k = s; k < end; ++k) {
-            culprits.push_back(appName(node_, shares_[k].culprit));
-            resources.push_back(
+            culprits_.emplace_back(appName(node_, shares_[k].culprit));
+            resources_.emplace_back(
                 obs::interferenceResourceName(shares_[k].resource));
-            shares.push_back(shares_[k].share);
+            eventShares_.push_back(shares_[k].share);
         }
         // entropy.lcDetail follows the node's LC order.
         const auto &lc_apps = node_.lcApps();
@@ -227,9 +286,9 @@ class AttributionStep
         obs::Event ev("attribution");
         ev.str("app", node_.profile(victim).name)
             .num("r_i", rec.entropy.lcDetail[lc].interference)
-            .strs("culprits", culprits)
-            .strs("resources", resources)
-            .nums("shares", shares);
+            .strs("culprits", culprits_)
+            .strs("resources", resources_)
+            .nums("shares", eventShares_);
         scope.atEpoch(e).emit(ev);
     }
 };
@@ -659,7 +718,7 @@ class EpochKernel
         if (attribution_ && e >= result_.warmupEpochs)
             attribution_->attribute(e, layout_, demands_,
                                     cur_->corePolicy(), rec, traced,
-                                    cfg_.obs, result_.attribution);
+                                    cfg_.obs);
         if (auditor_.enabled()) {
             obs::Span span(cfg_.obs, "audit");
             auditor_.afterEpoch(rec.entropy, cfg_.ri, !lcObs_.empty(),
@@ -796,10 +855,12 @@ class EpochKernel
             cfg_.obs.count("slo.alert_epochs",
                            static_cast<double>(res.slo.alertEpochs));
         }
-        if (attribution_)
+        if (attribution_) {
+            attribution_->foldInto(res.attribution);
             cfg_.obs.count("attr.evals",
                            static_cast<double>(
                                attribution_->evaluations()));
+        }
         if (tracing_) {
             obs::Event ev("run_end");
             ev.str("scheduler", cur_->name())

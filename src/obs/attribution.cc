@@ -29,10 +29,58 @@ interferenceResourceName(InterferenceResource r)
     return "other";
 }
 
+namespace
+{
+
+/**
+ * The attributor's model runs without its own memo: the batch memo
+ * already serves every repeated epoch, and on a batch miss the
+ * model's memo would only re-key and store each of the n
+ * counterfactuals.
+ */
+perf::ContentionTraits
+withoutMemo(perf::ContentionTraits traits)
+{
+    traits.memoCapacity = 0;
+    return traits;
+}
+
+} // namespace
+
 InterferenceAttributor::InterferenceAttributor(
     machine::MachineConfig config, perf::ContentionTraits traits)
-    : model_(std::move(config), traits)
+    : model_(std::move(config), withoutMemo(traits)),
+      batches_(traits.memoCapacity > 0
+                   ? static_cast<std::size_t>(traits.memoCapacity)
+                   : 0)
 {
+}
+
+const std::vector<perf::PerfOutcome> &
+InterferenceAttributor::counterfactuals(
+    const machine::RegionLayout &layout,
+    const std::vector<perf::AppDemand> &demands,
+    perf::CoreSharePolicy policy)
+{
+    perf::ContentionModel::buildMemoKey(layout, demands, policy, key_);
+    if (const auto *cached = batches_.find(key_))
+        return *cached;
+
+    // One counterfactual per co-runner: zero its demand (threads
+    // and arrival rate — a vacated slot) and keep the layout.
+    const std::size_t n = demands.size();
+    batch_.resize(n * n);
+    for (std::size_t j = 0; j < n; ++j) {
+        cfDemands_ = demands;
+        cfDemands_[j].threads = 0;
+        cfDemands_[j].arrivalRate = 0.0;
+        model_.evaluateInto(layout, cfDemands_, policy, cfOut_);
+        ++evals_;
+        std::copy(cfOut_.begin(), cfOut_.end(),
+                  batch_.begin() + static_cast<std::ptrdiff_t>(j * n));
+    }
+    batches_.store(key_, batch_);
+    return batch_;
 }
 
 void
@@ -61,23 +109,18 @@ InterferenceAttributor::attribute(
     const std::size_t n = demands.size();
     raw_.assign(nv * n * 3, 0.0);
 
-    // One counterfactual per co-runner: zero its demand (threads
-    // and arrival rate — a vacated slot), keep the layout, re-run
-    // the model, and read how much of each victim's ways /
-    // bandwidth headroom / core grant comes back. Recoveries are
+    // Read how much of each victim's ways / bandwidth headroom /
+    // core grant comes back when co-runner j leaves. Recoveries are
     // relative, so they compare across resource channels.
+    const std::vector<perf::PerfOutcome> &cf =
+        counterfactuals(layout, demands, policy);
     for (std::size_t j = 0; j < n; ++j) {
-        cfDemands_ = demands;
-        cfDemands_[j].threads = 0;
-        cfDemands_[j].arrivalRate = 0.0;
-        model_.evaluateInto(layout, cfDemands_, policy, cfOut_);
-        ++evals_;
         for (std::size_t v = 0; v < nv; ++v) {
             const auto i = static_cast<std::size_t>(lc_ids[v]);
             if (i == j || lc_detail[v].interference <= 0.0)
                 continue;
             const perf::PerfOutcome &b = base[i];
-            const perf::PerfOutcome &c = cfOut_[i];
+            const perf::PerfOutcome &c = cf[j * n + i];
             double *r = &raw_[(v * n + j) * 3];
             r[0] = std::max(
                 0.0, (c.effectiveWays - b.effectiveWays) /
@@ -132,13 +175,17 @@ InterferenceAttributor::attribute(
 }
 
 void
-AttributionLedger::add(const std::string &victim,
-                       const std::string &culprit,
-                       const std::string &resource, double share)
+AttributionLedger::add(std::string_view victim, std::string_view culprit,
+                       std::string_view resource, double share,
+                       long long epochs)
 {
-    Cell &cell = cells_[Key(victim, culprit, resource)];
-    cell.share += share;
-    cell.epochs += 1;
+    const KeyView key(victim, culprit, resource);
+    auto it = cells_.lower_bound(key);
+    if (it == cells_.end() || cells_.key_comp()(key, it->first))
+        it = cells_.emplace_hint(it,
+                                 Key(victim, culprit, resource), Cell{});
+    it->second.share += share;
+    it->second.epochs += epochs;
 }
 
 void
@@ -164,10 +211,10 @@ AttributionLedger::rows() const
 }
 
 double
-AttributionLedger::victimTotal(const std::string &victim) const
+AttributionLedger::victimTotal(std::string_view victim) const
 {
     double total = 0.0;
-    for (auto it = cells_.lower_bound(Key(victim, "", ""));
+    for (auto it = cells_.lower_bound(KeyView(victim, "", ""));
          it != cells_.end() && std::get<0>(it->first) == victim;
          ++it) {
         total += it->second.share;
@@ -176,12 +223,12 @@ AttributionLedger::victimTotal(const std::string &victim) const
 }
 
 std::string
-AttributionLedger::topBlame(const std::string &victim) const
+AttributionLedger::topBlame(std::string_view victim) const
 {
     std::string best;
     double best_share = -1.0;
     bool best_noise = true;
-    for (auto it = cells_.lower_bound(Key(victim, "", ""));
+    for (auto it = cells_.lower_bound(KeyView(victim, "", ""));
          it != cells_.end() && std::get<0>(it->first) == victim;
          ++it) {
         const bool noise =

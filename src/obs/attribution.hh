@@ -10,7 +10,10 @@
  * co-runner j it re-evaluates the epoch with j's demand removed
  * (threads and arrival rate zeroed, layout unchanged) and reads how
  * much each victim's effective ways, bandwidth dilation and core
- * grant recover. The recoveries are normalized per victim so the
+ * grant recover. The n counterfactual outcome vectors of an epoch
+ * are memoized as one batch under the model's exact input key, so
+ * a steady epoch costs one lookup instead of n evaluations. The
+ * recoveries are normalized per victim so the
  * per-(culprit, resource) shares sum exactly to the victim's
  * measured R_i — an additive decomposition of the epoch's
  * interference.
@@ -27,6 +30,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -88,7 +92,14 @@ struct AttributionShare
  * sharing the simulator's instance would be a data race waiting to
  * happen); construct one attributor per run, like the auditor and
  * the fault injector. attribute() reuses internal buffers, so a
- * warm epoch allocates nothing beyond the model's memo.
+ * warm epoch allocates nothing beyond the memos.
+ *
+ * The batch memo holds, per exact (layout, demands, policy) key,
+ * the n drop-one outcome vectors — outcomes, not recoveries, so a
+ * hit is correct whatever `base` the caller passes. It is sized by
+ * ContentionTraits::memoCapacity (0 disables it), takes the place
+ * of the attributor's model memo, and changes no result: only the
+ * cost of epochs whose inputs repeat.
  */
 class InterferenceAttributor
 {
@@ -120,13 +131,30 @@ class InterferenceAttributor
                    const std::vector<core::LcBreakdown> &lc_detail,
                    std::vector<AttributionShare> &out);
 
-    /** Counterfactual evaluations performed so far (telemetry). */
+    /**
+     * The n drop-one outcome vectors for these inputs: entry
+     * j*n + i is app i's outcome with app j's threads and arrival
+     * rate zeroed. From the batch memo when the inputs repeat, else
+     * evaluated and stored. Valid until the next call.
+     */
+    const std::vector<perf::PerfOutcome> &
+    counterfactuals(const machine::RegionLayout &layout,
+                    const std::vector<perf::AppDemand> &demands,
+                    perf::CoreSharePolicy policy);
+
+    /**
+     * Counterfactual fixed points actually run so far (telemetry):
+     * n per batch-memo miss, nothing for a hit.
+     */
     long long evaluations() const { return evals_; }
 
   private:
     perf::ContentionModel model_;
+    perf::EvaluationMemo<perf::PerfOutcome> batches_;
+    std::vector<double> key_;
     std::vector<perf::AppDemand> cfDemands_;
     std::vector<perf::PerfOutcome> cfOut_;
+    std::vector<perf::PerfOutcome> batch_;
     std::vector<double> raw_;
     long long evals_ = 0;
 };
@@ -157,9 +185,13 @@ struct AttributionRow
 class AttributionLedger
 {
   public:
-    /** Fold one epoch share into the ledger. */
-    void add(const std::string &victim, const std::string &culprit,
-             const std::string &resource, double share);
+    /**
+     * Fold @p epochs epochs' summed share into one cell (one epoch
+     * by default). Allocates only when the cell is new.
+     */
+    void add(std::string_view victim, std::string_view culprit,
+             std::string_view resource, double share,
+             long long epochs = 1);
 
     /** Fold another ledger in (commutative, associative). */
     void merge(const AttributionLedger &other);
@@ -171,7 +203,7 @@ class AttributionLedger
     std::vector<AttributionRow> rows() const;
 
     /** Total share accumulated against one victim. */
-    double victimTotal(const std::string &victim) const;
+    double victimTotal(std::string_view victim) const;
 
     /**
      * The victim's top (culprit, resource) by accumulated share as
@@ -179,7 +211,7 @@ class AttributionLedger
      * cite. Empty when the victim has no rows. The residual
      * pseudo-culprit is only blamed when nothing real was.
      */
-    std::string topBlame(const std::string &victim) const;
+    std::string topBlame(std::string_view victim) const;
 
   private:
     struct Cell
@@ -189,7 +221,11 @@ class AttributionLedger
     };
 
     using Key = std::tuple<std::string, std::string, std::string>;
-    std::map<Key, Cell> cells_;
+    using KeyView =
+        std::tuple<std::string_view, std::string_view, std::string_view>;
+
+    /** Key-sorted; std::less<> lets KeyView look cells up. */
+    std::map<Key, Cell, std::less<>> cells_;
 };
 
 } // namespace ahq::obs

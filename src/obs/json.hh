@@ -34,7 +34,17 @@ void
 appendString(Out &out, std::string_view s)
 {
     out.push_back('"');
-    for (const char c : s) {
+    const char *run = s.data();
+    const char *const last = s.data() + s.size();
+    for (const char *p = run; p != last; ++p) {
+        const char c = *p;
+        // Bytes that need no escaping are appended a run at a time.
+        if (c != '"' && c != '\\' &&
+            static_cast<unsigned char>(c) >= 0x20)
+            continue;
+        if (p != run)
+            out.append(run, p);
+        run = p + 1;
         switch (c) {
           case '"':
             out += "\\\"";
@@ -51,18 +61,17 @@ appendString(Out &out, std::string_view s)
           case '\t':
             out += "\\t";
             break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
+          default: {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x",
+                          static_cast<unsigned>(
+                              static_cast<unsigned char>(c)));
+            out += buf;
+          }
         }
     }
+    if (last != run)
+        out.append(run, last);
     out.push_back('"');
 }
 

@@ -6,7 +6,6 @@
 #include "obs/trace_reader.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <fstream>
 #include <iterator>
@@ -23,7 +22,7 @@ namespace
 /** Cursor over one line with parse helpers. */
 struct Cursor
 {
-    const std::string &s;
+    std::string_view s;
     std::size_t i = 0;
 
     [[noreturn]] void fail(const std::string &what) const
@@ -33,10 +32,17 @@ struct Cursor
                                  what);
     }
 
+    /** The "C"-locale std::isspace set, without the call. */
+    static bool isSpace(char c)
+    {
+        return c == ' ' || (c >= '\t' && c <= '\r');
+    }
+
+    static bool isDigit(char c) { return c >= '0' && c <= '9'; }
+
     void skipWs()
     {
-        while (i < s.size() &&
-               std::isspace(static_cast<unsigned char>(s[i])))
+        while (i < s.size() && isSpace(s[i]))
             ++i;
     }
 
@@ -57,20 +63,22 @@ struct Cursor
         return true;
     }
 
-    std::string parseString()
+    /** Parse a JSON string into @p out, reusing its capacity. */
+    void parseString(std::string &out)
     {
         expect('"');
-        std::string out;
+        out.clear();
         while (true) {
+            // Bytes up to the next quote or escape go in one copy.
+            std::size_t end = i;
+            while (end < s.size() && s[end] != '"' && s[end] != '\\')
+                ++end;
+            out.append(s.data() + i, end - i);
+            i = end;
             if (i >= s.size())
                 fail("unterminated string");
-            const char c = s[i++];
-            if (c == '"')
-                return out;
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
-            }
+            if (s[i++] == '"')
+                return;
             if (i >= s.size())
                 fail("dangling escape");
             const char e = s[i++];
@@ -123,9 +131,8 @@ struct Cursor
         if (peek() == '-')
             ++i;
         while (i < s.size() &&
-               (std::isdigit(static_cast<unsigned char>(s[i])) ||
-                s[i] == '.' || s[i] == 'e' || s[i] == 'E' ||
-                s[i] == '+' || s[i] == '-'))
+               (isDigit(s[i]) || s[i] == '.' || s[i] == 'e' ||
+                s[i] == 'E' || s[i] == '+' || s[i] == '-'))
             ++i;
         double v = 0.0;
         const auto res =
@@ -135,68 +142,169 @@ struct Cursor
         return v;
     }
 
-    bool consumeWord(const char *w)
+    bool consumeWord(std::string_view w)
     {
-        const std::size_t len = std::char_traits<char>::length(w);
-        if (s.compare(i, len, w) != 0)
+        if (s.substr(i, w.size()) != w)
             return false;
-        i += len;
+        i += w.size();
         return true;
     }
 
-    TraceValue parseValue()
+    /**
+     * Parse one value into @p v, overwriting whatever an earlier
+     * line left there (so @p v ends up equal to a freshly parsed
+     * value) while keeping its buffers' capacity.
+     */
+    void parseValue(TraceValue &v)
     {
         skipWs();
-        TraceValue v;
+        v.kind = TraceValue::Kind::Number;
+        v.number = 0.0;
+        v.numbers.clear();
+        std::size_t strings = 0;
+        bool string = false;
         const char c = peek();
         if (c == '"') {
             v.kind = TraceValue::Kind::String;
-            v.string = parseString();
+            parseString(v.string);
+            string = true;
         } else if (c == '[') {
-            ++i;
-            skipWs();
-            if (consume(']')) {
-                v.kind = TraceValue::Kind::NumberArray;
-                return v;
-            }
-            const bool strings = peek() == '"';
-            v.kind = strings ? TraceValue::Kind::StringArray
-                             : TraceValue::Kind::NumberArray;
-            while (true) {
-                skipWs();
-                if (strings)
-                    v.strings.push_back(parseString());
-                else if (consumeWord("null"))
-                    v.numbers.push_back(0.0);
-                else
-                    v.numbers.push_back(parseNumber());
-                skipWs();
-                if (consume(']'))
-                    return v;
-                expect(',');
-            }
+            strings = parseArray(v);
         } else if (consumeWord("null")) {
             v.kind = TraceValue::Kind::Null;
         } else if (consumeWord("true")) {
-            v.kind = TraceValue::Kind::Number;
             v.number = 1.0;
         } else if (consumeWord("false")) {
-            v.kind = TraceValue::Kind::Number;
             v.number = 0.0;
         } else if (c == '{') {
             fail("nested objects are not part of the trace schema");
         } else {
-            v.kind = TraceValue::Kind::Number;
             v.number = parseNumber();
         }
-        return v;
+        if (!string)
+            v.string.clear();
+        v.strings.resize(strings);
+    }
+
+    /** Parse an array into @p v; returns its string count. */
+    std::size_t parseArray(TraceValue &v)
+    {
+        ++i;
+        skipWs();
+        v.kind = TraceValue::Kind::NumberArray;
+        if (consume(']'))
+            return 0;
+        const bool strings = peek() == '"';
+        if (strings)
+            v.kind = TraceValue::Kind::StringArray;
+        std::size_t n = 0;
+        while (true) {
+            skipWs();
+            if (strings) {
+                if (n == v.strings.size())
+                    v.strings.emplace_back();
+                parseString(v.strings[n++]);
+            } else if (consumeWord("null")) {
+                v.numbers.push_back(0.0);
+            } else {
+                v.numbers.push_back(parseNumber());
+            }
+            skipWs();
+            if (consume(']'))
+                return n;
+            expect(',');
+        }
     }
 };
+
+/**
+ * Parses lines into one reused TraceEvent: a field the line repeats
+ * keeps its map node and buffers; a field it lacks is taken out of
+ * the map and its node kept for the next new key, so lines of
+ * alternating types allocate nothing either.
+ */
+class LineParser
+{
+    using Fields = decltype(TraceEvent::fields);
+
+  public:
+    void parse(std::string_view line, TraceEvent &ev)
+    {
+        Cursor c{line};
+        c.skipWs();
+        c.expect('{');
+        seen_.clear();
+        c.skipWs();
+        if (!c.consume('}')) {
+            while (true) {
+                c.skipWs();
+                c.parseString(key_);
+                c.skipWs();
+                c.expect(':');
+                auto it = ev.fields.lower_bound(key_);
+                if (it == ev.fields.end() || it->first != key_)
+                    it = insert(ev.fields, it);
+                // A duplicate key parses into the same node: the
+                // last occurrence wins.
+                c.parseValue(it->second);
+                if (!wasSeen(&it->second))
+                    seen_.push_back(&it->second);
+                c.skipWs();
+                if (c.consume('}'))
+                    break;
+                c.expect(',');
+            }
+        }
+        c.skipWs();
+        if (c.i != line.size())
+            c.fail("trailing characters");
+        if (seen_.size() == ev.fields.size())
+            return;
+        for (auto it = ev.fields.begin(); it != ev.fields.end();) {
+            if (wasSeen(&it->second))
+                ++it;
+            else
+                spare_.push_back(ev.fields.extract(it++));
+        }
+    }
+
+  private:
+    /** A node for key_ before @p hint, recycled when one is spare. */
+    Fields::iterator insert(Fields &fields, Fields::iterator hint)
+    {
+        if (spare_.empty())
+            return fields.emplace_hint(hint, key_, TraceValue{});
+        Fields::node_type node = std::move(spare_.back());
+        spare_.pop_back();
+        node.key() = key_;
+        return fields.insert(hint, std::move(node));
+    }
+
+    bool wasSeen(const TraceValue *v) const
+    {
+        return std::find(seen_.begin(), seen_.end(), v) != seen_.end();
+    }
+
+    std::string key_;
+    /** Fields this line carried (a line has a handful). */
+    std::vector<const TraceValue *> seen_;
+    std::vector<Fields::node_type> spare_;
+};
+
+/** The "type" field, without a copy ("" when missing). */
+std::string_view
+typeOf(const TraceEvent &ev)
+{
+    const auto it = ev.fields.find(std::string_view("type"));
+    return it != ev.fields.end() &&
+            it->second.kind == TraceValue::Kind::String ?
+        std::string_view(it->second.string) : std::string_view();
+}
 
 } // namespace
 
 double
-TraceEvent::num(const std::string &key, double def) const
+TraceEvent::num(std::string_view key, double def) const
 {
     const auto it = fields.find(key);
     return it != fields.end() &&
@@ -205,7 +313,7 @@ TraceEvent::num(const std::string &key, double def) const
 }
 
 std::string
-TraceEvent::str(const std::string &key, const std::string &def) const
+TraceEvent::str(std::string_view key, const std::string &def) const
 {
     const auto it = fields.find(key);
     return it != fields.end() &&
@@ -214,7 +322,7 @@ TraceEvent::str(const std::string &key, const std::string &def) const
 }
 
 std::vector<double>
-TraceEvent::nums(const std::string &key) const
+TraceEvent::nums(std::string_view key) const
 {
     const auto it = fields.find(key);
     return it != fields.end() &&
@@ -223,7 +331,7 @@ TraceEvent::nums(const std::string &key) const
 }
 
 std::vector<std::string>
-TraceEvent::strs(const std::string &key) const
+TraceEvent::strs(std::string_view key) const
 {
     const auto it = fields.find(key);
     return it != fields.end() &&
@@ -232,7 +340,7 @@ TraceEvent::strs(const std::string &key) const
 }
 
 bool
-TraceEvent::has(const std::string &key) const
+TraceEvent::has(std::string_view key) const
 {
     return fields.find(key) != fields.end();
 }
@@ -240,27 +348,8 @@ TraceEvent::has(const std::string &key) const
 TraceEvent
 parseTraceLine(const std::string &line)
 {
-    Cursor c{line};
-    c.skipWs();
-    c.expect('{');
     TraceEvent ev;
-    c.skipWs();
-    if (!c.consume('}')) {
-        while (true) {
-            c.skipWs();
-            std::string key = c.parseString();
-            c.skipWs();
-            c.expect(':');
-            ev.fields[std::move(key)] = c.parseValue();
-            c.skipWs();
-            if (c.consume('}'))
-                break;
-            c.expect(',');
-        }
-    }
-    c.skipWs();
-    if (c.i != line.size())
-        c.fail("trailing characters");
+    LineParser().parse(line, ev);
     return ev;
 }
 
@@ -294,6 +383,8 @@ forEachTrace(std::istream &in, const TraceEventFn &fn,
              TraceReadStats *stats)
 {
     std::string line;
+    TraceEvent ev;
+    LineParser parser;
     int n = 0;
     std::uint64_t unknown = 0;
     while (std::getline(in, line)) {
@@ -304,13 +395,13 @@ forEachTrace(std::istream &in, const TraceEventFn &fn,
             continue;
         }
         try {
-            const TraceEvent ev = parseTraceLine(line);
+            parser.parse(line, ev);
             if (stats != nullptr) {
                 ++stats->events;
-                const std::string type = ev.type();
+                const std::string_view type = typeOf(ev);
                 if (!isKnownTraceType(type)) {
                     ++stats->unknownEvents;
-                    ++stats->unknownTypes[type];
+                    ++stats->unknownTypes[std::string(type)];
                     ++unknown;
                 }
             }

@@ -43,26 +43,30 @@ struct TraceValue
     std::vector<std::string> strings;
 };
 
-/** One decoded trace event (a flat field map). */
+/**
+ * One decoded trace event (a flat field map). Lookups are
+ * heterogeneous: a key given as a literal or a std::string_view
+ * builds no temporary std::string.
+ */
 struct TraceEvent
 {
-    std::map<std::string, TraceValue> fields;
+    std::map<std::string, TraceValue, std::less<>> fields;
 
     /** Number field, or def when absent / not a number. */
-    double num(const std::string &key, double def = 0.0) const;
+    double num(std::string_view key, double def = 0.0) const;
 
     /** String field, or def when absent / not a string. */
-    std::string str(const std::string &key,
+    std::string str(std::string_view key,
                     const std::string &def = {}) const;
 
     /** Number-array field (empty when absent). */
-    std::vector<double> nums(const std::string &key) const;
+    std::vector<double> nums(std::string_view key) const;
 
     /** String-array field (empty when absent). */
-    std::vector<std::string> strs(const std::string &key) const;
+    std::vector<std::string> strs(std::string_view key) const;
 
     /** Whether the field exists. */
-    bool has(const std::string &key) const;
+    bool has(std::string_view key) const;
 
     /** The event's "type" field ("" when missing). */
     std::string type() const { return str("type"); }
@@ -105,6 +109,13 @@ using TraceEventFn =
  * This is how `ahq trace`/`ahq profile` read multi-GB traces in
  * constant memory. When `stats` is non-null it is filled with the
  * event / unknown-type tally for the read.
+ *
+ * Every line is parsed into the same TraceEvent, which keeps its
+ * map nodes and buffers from line to line (a field the line does
+ * not carry is erased, so the event always equals
+ * parseTraceLine(line)). The `const TraceEvent &` passed to `fn` is
+ * therefore valid only during that call: copy it to keep it, as
+ * readTrace() does.
  * @throws std::runtime_error with a "line N:" prefix on the first
  *         malformed line (nothing after it is delivered); anything
  *         `fn` throws propagates with the same line prefix.
@@ -121,7 +132,7 @@ void forEachTraceFile(const std::string &path,
                       const TraceEventFn &fn,
                       TraceReadStats *stats = nullptr);
 
-/** Parse a whole stream (blank lines skipped). */
+/** Parse a whole stream (blank lines skipped; each event copied). */
 std::vector<TraceEvent> readTrace(std::istream &in);
 
 /**

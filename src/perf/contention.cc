@@ -83,16 +83,26 @@ waterFillInto(double capacity, const std::vector<double> &caps,
     }
 }
 
-/**
- * Canonicalise every model input evaluate() reads into a flat key of
- * doubles: the policy, each region's shape/resources/members and each
- * app's demand and curve parameters. Two calls producing the same key
- * are guaranteed to compute byte-identical outcomes.
- */
+} // namespace
+
+ContentionModel::ContentionModel(machine::MachineConfig config,
+                                 ContentionTraits traits)
+    : config_(std::move(config)), traits_(traits),
+      bwModel(traits.bandwidth),
+      memo_(traits.memoCapacity > 0
+                ? static_cast<std::size_t>(traits.memoCapacity)
+                : 0)
+{
+    assert(config_.valid());
+    assert(traits_.iterations > 0);
+    assert(traits_.damping > 0.0 && traits_.damping <= 1.0);
+}
+
 void
-buildMemoKey(const RegionLayout &layout,
-             const std::vector<AppDemand> &demands,
-             CoreSharePolicy policy, std::vector<double> &key)
+ContentionModel::buildMemoKey(const RegionLayout &layout,
+                              const std::vector<AppDemand> &demands,
+                              CoreSharePolicy policy,
+                              std::vector<double> &key)
 {
     key.clear();
     key.push_back(static_cast<double>(policy));
@@ -125,21 +135,6 @@ buildMemoKey(const RegionLayout &layout,
         key.push_back(m.mpkiMin());
         key.push_back(m.waysHalf());
     }
-}
-
-} // namespace
-
-ContentionModel::ContentionModel(machine::MachineConfig config,
-                                 ContentionTraits traits)
-    : config_(std::move(config)), traits_(traits),
-      bwModel(traits.bandwidth),
-      memo_(traits.memoCapacity > 0
-                ? static_cast<std::size_t>(traits.memoCapacity)
-                : 0)
-{
-    assert(config_.valid());
-    assert(traits_.iterations > 0);
-    assert(traits_.damping > 0.0 && traits_.damping <= 1.0);
 }
 
 std::vector<PerfOutcome>

@@ -205,6 +205,20 @@ class ContentionModel
                       CoreSharePolicy policy,
                       std::vector<PerfOutcome> &out) const;
 
+    /**
+     * Canonicalise every model input evaluateInto() reads into a
+     * flat key of doubles: the policy, each region's shape,
+     * resources and members, and each app's demand and curve
+     * parameters (not the curve-table pointer, which is only an
+     * accelerator). Two inputs with equal keys evaluate to
+     * byte-identical outcomes; the evaluation memo and the
+     * attributor's counterfactual memo both key on it.
+     */
+    static void buildMemoKey(const machine::RegionLayout &layout,
+                             const std::vector<AppDemand> &demands,
+                             CoreSharePolicy policy,
+                             std::vector<double> &key);
+
     const machine::MachineConfig &config() const { return config_; }
     const ContentionTraits &traits() const { return traits_; }
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <random>
 #include <sstream>
@@ -20,6 +21,7 @@
 #include "exec/thread_pool.hh"
 #include "fault/plan.hh"
 #include "obs/attribution.hh"
+#include "obs/metrics.hh"
 #include "obs/scope.hh"
 #include "obs/trace_reader.hh"
 #include "sched/registry.hh"
@@ -243,6 +245,210 @@ TEST(Attribution, ResultsBitwiseEqualWithAttributionOff)
     EXPECT_EQ(plain.violations, attributed.violations);
     EXPECT_TRUE(plain.attribution.empty());
     EXPECT_FALSE(attributed.attribution.empty());
+}
+
+// ---- the batch counterfactual memo ---------------------------------
+
+bool
+sameBits(const perf::PerfOutcome &a, const perf::PerfOutcome &b)
+{
+    return std::memcmp(&a, &b, sizeof(perf::PerfOutcome)) == 0;
+}
+
+/** The canonical, Fig. 8 and Fig. 12 nodes. */
+std::vector<cluster::Node>
+paperNodes()
+{
+    const auto mc = machine::MachineConfig::xeonE52630v4();
+    return {
+        cluster::Node(mc, {cluster::lcAt(apps::xapian(), 0.5),
+                           cluster::lcAt(apps::moses(), 0.2),
+                           cluster::lcAt(apps::imgDnn(), 0.2),
+                           cluster::be(apps::stream())}),
+        cluster::Node(mc, {cluster::lcAt(apps::xapian(), 0.6),
+                           cluster::lcAt(apps::moses(), 0.4),
+                           cluster::lcAt(apps::imgDnn(), 0.4),
+                           cluster::be(apps::fluidanimate())}),
+        cluster::Node(mc, {cluster::lcAt(apps::moses(), 0.2),
+                           cluster::lcAt(apps::xapian(), 0.2),
+                           cluster::lcAt(apps::imgDnn(), 0.2),
+                           cluster::lcAt(apps::sphinx(), 0.2),
+                           cluster::lcAt(apps::masstree(), 0.2),
+                           cluster::lcAt(apps::silo(), 0.2),
+                           cluster::be(apps::fluidanimate()),
+                           cluster::be(apps::streamcluster())})};
+}
+
+/**
+ * Layouts every strategy produces on a node: its initial layout
+ * and the layout of its last epoch after a short run.
+ */
+std::vector<machine::RegionLayout>
+strategyLayouts(const cluster::Node &node)
+{
+    std::vector<machine::RegionLayout> out;
+    for (const std::string &strategy : sched::allStrategyNames()) {
+        const auto sched = sched::makeScheduler(strategy);
+        out.push_back(sched->initialLayout(node.config(),
+                                           node.staticObservations()));
+        cluster::SimulationConfig cfg = shortConfig(5);
+        cfg.attribute = false;
+        const auto res =
+            cluster::EpochSimulator(node, cfg).run(*sched);
+        out.push_back(res.epochs.back().layout);
+    }
+    return out;
+}
+
+/**
+ * Every cached drop-one outcome is bitwise what a fresh, memo-less
+ * evaluation with app j's threads and arrival rate zeroed returns,
+ * on the first (miss) and the repeated (hit) lookup alike.
+ */
+TEST(AttributionMemo, BatchOutcomesEqualFreshEvaluations)
+{
+    for (const cluster::Node &node : paperNodes()) {
+        const auto demands = node.demandsAt(0.0);
+        const std::size_t n = demands.size();
+        const auto layouts = strategyLayouts(node);
+        perf::ContentionTraits no_memo;
+        no_memo.memoCapacity = 0;
+        const perf::ContentionModel fresh(node.config(), no_memo);
+        for (const auto policy : {perf::CoreSharePolicy::FairShare,
+                                  perf::CoreSharePolicy::LcPriority}) {
+            obs::InterferenceAttributor attributor(node.config());
+            for (const auto &layout : layouts) {
+                std::vector<std::vector<perf::PerfOutcome>> want(n);
+                for (std::size_t j = 0; j < n; ++j) {
+                    auto cf = demands;
+                    cf[j].threads = 0;
+                    cf[j].arrivalRate = 0.0;
+                    fresh.evaluateInto(layout, cf, policy, want[j]);
+                }
+                for (const bool hit : {false, true}) {
+                    const long long before = attributor.evaluations();
+                    const auto &got = attributor.counterfactuals(
+                        layout, demands, policy);
+                    ASSERT_EQ(got.size(), n * n);
+                    for (std::size_t j = 0; j < n; ++j)
+                        for (std::size_t i = 0; i < n; ++i)
+                            EXPECT_TRUE(
+                                sameBits(got[j * n + i], want[j][i]))
+                                << node.describe() << " drop " << j
+                                << " app " << i
+                                << (hit ? " hit" : " miss");
+                    // A repeated lookup runs no fixed point.
+                    if (hit) {
+                        EXPECT_EQ(attributor.evaluations(), before);
+                    }
+                }
+            }
+        }
+    }
+}
+
+cluster::SimulationResult
+attributedArqRun(int epochs, int memo_capacity,
+                 obs::MetricsRegistry *metrics = nullptr)
+{
+    cluster::SimulationConfig cfg = shortConfig(9);
+    cfg.durationSeconds = epochs * cfg.epochSeconds;
+    cfg.keepEpochs = false;
+    cfg.contention.memoCapacity = memo_capacity;
+    cfg.obs.metrics = metrics;
+    const auto arq = sched::makeScheduler("ARQ");
+    return cluster::EpochSimulator(paperNodes()[0], cfg).run(*arq);
+}
+
+void
+expectSameLedger(const obs::AttributionLedger &a,
+                 const obs::AttributionLedger &b)
+{
+    const auto ra = a.rows();
+    const auto rb = b.rows();
+    ASSERT_EQ(ra.size(), rb.size());
+    ASSERT_FALSE(ra.empty());
+    for (std::size_t k = 0; k < ra.size(); ++k) {
+        EXPECT_EQ(ra[k].victim, rb[k].victim);
+        EXPECT_EQ(ra[k].culprit, rb[k].culprit);
+        EXPECT_EQ(ra[k].resource, rb[k].resource);
+        EXPECT_EQ(ra[k].epochs, rb[k].epochs);
+        EXPECT_EQ(std::memcmp(&ra[k].share, &rb[k].share,
+                              sizeof(double)),
+                  0)
+            << ra[k].victim << " " << ra[k].culprit;
+    }
+}
+
+/** Turning every memo off changes no ledger row or share bit. */
+TEST(AttributionMemo, LedgerBitwiseEqualWithMemoOff)
+{
+    const auto memo =
+        attributedArqRun(600, perf::ContentionTraits{}.memoCapacity);
+    const auto no_memo = attributedArqRun(600, 0);
+    expectSameLedger(memo.attribution, no_memo.attribution);
+    EXPECT_EQ(memo.meanES, no_memo.meanES);
+}
+
+/**
+ * attr.evals counts fixed points actually run: a steady run
+ * repeats its inputs, so it runs far fewer than n per attributed
+ * epoch, while the memo-less run pays all n and agrees bit for
+ * bit.
+ */
+TEST(AttributionMemo, EvalsCountOnlyRealWork)
+{
+    obs::MetricsRegistry memo_metrics, plain_metrics;
+    const auto memo = attributedArqRun(
+        3600, perf::ContentionTraits{}.memoCapacity, &memo_metrics);
+    const auto plain = attributedArqRun(3600, 0, &plain_metrics);
+    expectSameLedger(memo.attribution, plain.attribution);
+
+    // Memo off, every epoch with interference runs all n.
+    const double n = static_cast<double>(paperNodes()[0].numApps());
+    const double epochs = memo_metrics.counter("attr.epochs");
+    const double all_n = plain_metrics.counter("attr.evals");
+    ASSERT_GT(epochs, 3000.0);
+    EXPECT_GT(all_n, 0.0);
+    EXPECT_LE(all_n, n * epochs);
+    EXPECT_LT(memo_metrics.counter("attr.evals") * 10.0, all_n);
+}
+
+/**
+ * The run's ledger (accumulated per run, folded once) equals the
+ * per-epoch fold of its own `attribution` events bit for bit, also
+ * when two apps share a name and so share ledger cells.
+ */
+TEST(AttributionLedger, RunLedgerEqualsTheFoldOfItsEvents)
+{
+    cluster::Node node(machine::MachineConfig::xeonE52630v4(),
+                       {cluster::lcAt(apps::xapian(), 0.6),
+                        cluster::lcAt(apps::xapian(), 0.3),
+                        cluster::lcAt(apps::moses(), 0.3),
+                        cluster::be(apps::stream()),
+                        cluster::be(apps::stream())});
+    for (const char *strategy : {"ARQ", "Unmanaged"}) {
+        obs::BufferTraceSink sink;
+        cluster::SimulationConfig cfg = shortConfig(13);
+        cfg.durationSeconds = 60.0;
+        cfg.obs.sink = &sink;
+        const auto sched = sched::makeScheduler(strategy);
+        const auto res = cluster::EpochSimulator(node, cfg).run(*sched);
+
+        obs::AttributionLedger folded;
+        std::istringstream in(sink.str());
+        obs::forEachTrace(in, [&](const obs::TraceEvent &ev, int) {
+            if (ev.type() != "attribution")
+                return;
+            const auto culprits = ev.strs("culprits");
+            const auto resources = ev.strs("resources");
+            const auto shares = ev.nums("shares");
+            for (std::size_t k = 0; k < shares.size(); ++k)
+                folded.add(ev.str("app"), culprits[k], resources[k],
+                           shares[k]);
+        });
+        expectSameLedger(res.attribution, folded);
+    }
 }
 
 // ---- byte identity at any thread count ------------------------------

@@ -337,6 +337,9 @@ TEST(ThreadPool, AttachedProfilerCountsDrainedTasks)
         futs.push_back(pool.submit([i] { return i; }));
     for (auto &f : futs)
         f.get();
+    // A task's future is ready before its worker records the span;
+    // joining the workers makes every record visible.
+    pool.shutdown();
     pool.attachProfiler(nullptr);
     const auto snap = prof.snapshot();
     ASSERT_EQ(snap.count("pool.task"), 1u);
