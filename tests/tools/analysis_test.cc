@@ -455,6 +455,14 @@ TEST(Timeline, UsageAndErrorPaths)
               2);
     EXPECT_EQ(run({"timeline", "--width=4", "x.jsonl"}).code, 2);
     EXPECT_EQ(run({"timeline", "/nonexistent/x.jsonl"}).code, 1);
+    // --width is a whole integer: no trailing garbage, no words.
+    EXPECT_EQ(run({"timeline", "--width=64x", "x.jsonl"}).code, 2);
+    const auto word = run({"timeline", "--width=abc", "x.jsonl"});
+    EXPECT_EQ(word.code, 2);
+    EXPECT_NE(
+        word.err.find("bad --width: 'abc' (expected an integer)"),
+        std::string::npos)
+        << word.err;
 
     // A trace without series events is a loud error with a hint,
     // not an empty rendering.
@@ -491,6 +499,52 @@ TEST(Report, FoldsSeriesEventsIntoEsColumns)
     ASSERT_EQ(md.code, 0) << md.err;
     EXPECT_NE(md.out.find("E_S p99"), std::string::npos) << md.out;
     std::remove(trace.c_str());
+}
+
+TEST(TraceVerbs, RejectForeignSchemaAndTruncatedLinesAlike)
+{
+    // Every verb that reads a trace goes through the same front
+    // end: a schema version this build does not read and a
+    // truncated line both exit 1 with one "error: <path>: line N:"
+    // message and nothing on stdout.
+    const std::vector<std::vector<std::string>> verbs = {
+        {"trace"},  {"timeline"}, {"profile"},
+        {"why"},    {"alerts"},   {"report"},
+        {"experiment", "analyze"}, {"experiment", "verdict"}};
+    const std::string foreign = tmpPath("v9.jsonl");
+    const std::string truncated = tmpPath("truncated.jsonl");
+    {
+        std::ofstream f(foreign);
+        f << "{\"v\":9,\"type\":\"epoch\",\"scenario\":\"s\","
+             "\"e_s\":0.5}\n";
+        std::ofstream g(truncated);
+        g << "{\"v\":1,\"type\":\"epoch\",\"scenario\":\"s\","
+             "\"e_s\":0.5}\n{\"v\":1,\"type\":\"epo\n";
+    }
+    for (const auto &verb : verbs) {
+        auto argv = verb;
+        argv.push_back(foreign);
+        const auto v9 = run(argv);
+        EXPECT_EQ(v9.code, 1) << verb.back();
+        EXPECT_EQ(v9.out, "") << verb.back();
+        EXPECT_EQ(v9.err, "error: " + foreign +
+                              ": line 1: unsupported schema version "
+                              "9 (this build reads v1)\n")
+            << verb.back();
+
+        argv.back() = truncated;
+        const auto cut = run(argv);
+        EXPECT_EQ(cut.code, 1) << verb.back();
+        EXPECT_EQ(cut.out, "") << verb.back();
+        EXPECT_EQ(cut.err.rfind("error: " + truncated + ": line 2: ",
+                                0),
+                  0u)
+            << verb.back() << ": " << cut.err;
+        EXPECT_EQ(cut.err.find('\n'), cut.err.size() - 1)
+            << verb.back() << ": " << cut.err;
+    }
+    std::remove(foreign.c_str());
+    std::remove(truncated.c_str());
 }
 
 TEST(Usage, MentionsTheNewSubcommands)

@@ -136,6 +136,18 @@ TEST(Why, UsageAndMissingFileErrors)
     EXPECT_NE(usage.err.find("usage: ahq why"), std::string::npos);
     EXPECT_EQ(run({"why"}).code, 2);
     EXPECT_EQ(run({"why", tmpPath("nonexistent.jsonl")}).code, 1);
+
+    // --top is a whole integer: no trailing garbage, no words.
+    const std::string trace = attributedTrace("why_top.jsonl");
+    const auto trailing = run({"why", "--top=3x", trace});
+    EXPECT_EQ(trailing.code, 2);
+    EXPECT_EQ(trailing.out, "");
+    const auto word = run({"why", "--top", "abc", trace});
+    EXPECT_EQ(word.code, 2);
+    EXPECT_NE(word.err.find("bad --top: 'abc' (expected an integer)"),
+              std::string::npos)
+        << word.err;
+    std::remove(trace.c_str());
 }
 
 TEST(Alerts, ListsTransitionsAndTotalsInEveryFormat)

@@ -141,6 +141,21 @@ TEST(ExperimentCli, RejectsMalformedInvocations)
               2);
     // Unknown verb.
     EXPECT_EQ(dispatch({"experiment", "frobnicate"}, out, err), 2);
+
+    // Non-finite and negative values are usage errors, as in fleet.
+    const std::string trace =
+        testing::TempDir() + "ahq_exp_cli_reject.jsonl";
+    ASSERT_EQ(dispatch(runArgs(trace, "1"), out, err), 0) << err.str();
+    EXPECT_EQ(dispatch({"experiment", "analyze", "--confidence=nan",
+                        trace},
+                       out, err),
+              2);
+    auto tiny = runArgs(trace, "1");
+    tiny.push_back("--zipf=nan");
+    EXPECT_EQ(dispatch(tiny, out, err), 2);
+    tiny.back() = "--zipf=-1";
+    EXPECT_EQ(dispatch(tiny, out, err), 2);
+    std::remove(trace.c_str());
 }
 
 } // namespace

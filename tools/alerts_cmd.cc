@@ -9,14 +9,13 @@
  */
 
 #include "cli.hh"
+#include "front_end.hh"
 
 #include <map>
-#include <stdexcept>
 #include <vector>
 
 #include "obs/json.hh"
 #include "obs/scope.hh"
-#include "obs/trace_reader.hh"
 #include "report/table.hh"
 
 namespace ahq::cli
@@ -24,65 +23,6 @@ namespace ahq::cli
 
 namespace
 {
-
-struct AlertsOptions
-{
-    std::string path;
-    std::string scenario; // empty = all
-    std::string app;      // empty = all
-    std::string format = "text"; // text | csv | json
-};
-
-AlertsOptions
-parseAlertsArgs(const std::vector<std::string> &args)
-{
-    AlertsOptions opt;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        std::string a = args[i];
-        std::string inline_value;
-        bool has_inline = false;
-        if (a.rfind("--", 0) == 0) {
-            const auto eq = a.find('=');
-            if (eq != std::string::npos) {
-                inline_value = a.substr(eq + 1);
-                a = a.substr(0, eq);
-                has_inline = true;
-            }
-        }
-        auto next = [&](const char *flag) -> std::string {
-            if (has_inline)
-                return inline_value;
-            if (i + 1 >= args.size()) {
-                throw std::invalid_argument(
-                    std::string(flag) + " needs a value");
-            }
-            return args[++i];
-        };
-        if (a == "--scenario") {
-            opt.scenario = next("--scenario");
-        } else if (a == "--app") {
-            opt.app = next("--app");
-        } else if (a == "--format") {
-            opt.format = next("--format");
-            if (opt.format != "text" && opt.format != "csv" &&
-                opt.format != "json") {
-                throw std::invalid_argument(
-                    "--format must be text, csv or json (got " +
-                    opt.format + ")");
-            }
-        } else if (!a.empty() && a[0] == '-') {
-            throw std::invalid_argument("unknown option: " + a);
-        } else if (opt.path.empty()) {
-            opt.path = a;
-        } else {
-            throw std::invalid_argument(
-                "unexpected argument: " + a);
-        }
-    }
-    if (opt.path.empty())
-        throw std::invalid_argument("no trace file given");
-    return opt;
-}
 
 /** One alert transition, in trace order. */
 struct AlertRow
@@ -111,71 +51,51 @@ int
 runAlerts(const std::vector<std::string> &args, std::ostream &out,
           std::ostream &err)
 {
-    AlertsOptions opt;
-    try {
-        opt = parseAlertsArgs(args);
-    } catch (const std::exception &e) {
-        err << "error: " << e.what() << "\n"
-            << "usage: ahq alerts [--scenario=TAG] [--app=NAME] "
-               "[--format=text|csv|json] <file.jsonl>\n";
+    const auto opt = parseTraceArgs(
+        args, err,
+        "usage: ahq alerts [--scenario=TAG] [--app=NAME] "
+        "[--format=text|csv|json] <file.jsonl>",
+        /*with_app=*/true);
+    if (!opt)
         return 2;
-    }
 
     std::vector<AlertRow> rows;
     std::map<std::pair<std::string, std::string>, AlertTotals>
         totals;
-    try {
-        obs::forEachTraceFile(
-            opt.path, [&](const obs::TraceEvent &ev, int) {
-                const int v =
-                    static_cast<int>(ev.num("v", -1.0));
-                if (v != obs::kSchemaVersion) {
-                    throw std::runtime_error(
-                        "unsupported schema version " +
-                        std::to_string(v) +
-                        " (this build reads v" +
-                        std::to_string(obs::kSchemaVersion) + ")");
-                }
-                const std::string type = ev.type();
-                const bool raise = type == "alert_raise";
-                if (!raise && type != "alert_clear")
-                    return;
-                AlertRow r;
-                r.scenario = ev.str("scenario");
-                if (!opt.scenario.empty() &&
-                    r.scenario != opt.scenario)
-                    return;
-                r.app = ev.str("app");
-                if (!opt.app.empty() && r.app != opt.app)
-                    return;
-                r.raise = raise;
-                r.epoch = static_cast<int>(ev.num("epoch"));
-                r.burnFast = ev.num("burn_fast");
-                r.burnSlow = ev.num("burn_slow");
-                auto &t = totals[{r.scenario, r.app}];
-                if (raise) {
-                    ++t.raises;
-                } else {
-                    ++t.clears;
-                    r.duration =
-                        static_cast<int>(ev.num("duration"));
-                    t.alertEpochs += r.duration;
-                }
-                t.worstBurn = std::max(t.worstBurn, r.burnFast);
-                rows.push_back(std::move(r));
-            });
-    } catch (const std::exception &e) {
-        err << "error: " << e.what() << "\n";
+    const bool read = foldTrace(
+        opt->path, err, [&](const obs::TraceEvent &ev, int) {
+            const std::string type = ev.type();
+            const bool raise = type == "alert_raise";
+            if ((!raise && type != "alert_clear") || !opt->matches(ev))
+                return;
+            AlertRow r;
+            r.scenario = ev.str("scenario");
+            r.app = ev.str("app");
+            r.raise = raise;
+            r.epoch = static_cast<int>(ev.num("epoch"));
+            r.burnFast = ev.num("burn_fast");
+            r.burnSlow = ev.num("burn_slow");
+            auto &t = totals[{r.scenario, r.app}];
+            if (raise) {
+                ++t.raises;
+            } else {
+                ++t.clears;
+                r.duration = static_cast<int>(ev.num("duration"));
+                t.alertEpochs += r.duration;
+            }
+            t.worstBurn = std::max(t.worstBurn, r.burnFast);
+            rows.push_back(std::move(r));
+        });
+    if (!read)
         return 1;
-    }
     if (rows.empty()) {
-        err << "error: " << opt.path
+        err << "error: " << opt->path
             << ": no matching alert events (produce them with "
                "--trace --slo)\n";
         return 1;
     }
 
-    if (opt.format == "csv") {
+    if (opt->format == "csv") {
         out << "scenario,app,event,epoch,burn_fast,burn_slow,"
                "duration\n";
         for (const auto &r : rows) {
@@ -193,7 +113,7 @@ runAlerts(const std::vector<std::string> &args, std::ostream &out,
         return 0;
     }
 
-    if (opt.format == "json") {
+    if (opt->format == "json") {
         std::string b;
         b += "{\"v\":1,\"tool\":\"ahq alerts\",\"alerts\":[";
         for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -246,13 +166,13 @@ runAlerts(const std::vector<std::string> &args, std::ostream &out,
         return 0;
     }
 
-    out << opt.path << ": " << rows.size()
+    out << opt->path << ": " << rows.size()
         << " alert transition(s) (schema v" << obs::kSchemaVersion
         << ")\n";
     report::TextTable t({"scenario", "app", "event", "epoch",
                          "burn fast", "burn slow", "duration"});
     for (const auto &r : rows) {
-        t.addRow({r.scenario.empty() ? "(untagged)" : r.scenario,
+        t.addRow({scenarioLabel(r.scenario),
                   r.app, r.raise ? "RAISE" : "clear",
                   std::to_string(r.epoch),
                   report::TextTable::num(r.burnFast),
@@ -263,7 +183,7 @@ runAlerts(const std::vector<std::string> &args, std::ostream &out,
     report::TextTable tt({"scenario", "app", "raises", "clears",
                           "active at end", "worst burn"});
     for (const auto &[key, agg] : totals) {
-        tt.addRow({key.first.empty() ? "(untagged)" : key.first,
+        tt.addRow({scenarioLabel(key.first),
                    key.second, std::to_string(agg.raises),
                    std::to_string(agg.clears),
                    std::to_string(agg.raises - agg.clears),

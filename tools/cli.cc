@@ -4,6 +4,7 @@
  */
 
 #include "cli.hh"
+#include "front_end.hh"
 
 #include <algorithm>
 #include <cmath>
@@ -15,7 +16,6 @@
 
 #include "apps/catalog.hh"
 #include "cluster/oracle.hh"
-#include "exec/jobs.hh"
 #include "fault/plan.hh"
 #include "exec/scenario_runner.hh"
 #include "obs/metrics.hh"
@@ -34,14 +34,6 @@ namespace
 
 using sched::makeScheduler;
 
-/** Apply --jobs (0 keeps the AHQ_JOBS / hardware default). */
-void
-applyJobs(const SimulateOptions &opt)
-{
-    if (opt.jobs > 0)
-        exec::setDefaultJobs(opt.jobs);
-}
-
 std::vector<std::string>
 splitCsvRow(const std::string &line)
 {
@@ -53,65 +45,10 @@ splitCsvRow(const std::string &line)
     return cells;
 }
 
-double
-parseDouble(const std::string &s, const std::string &what)
-{
-    try {
-        std::size_t used = 0;
-        const double v = std::stod(s, &used);
-        if (used != s.size())
-            throw std::invalid_argument("trailing characters");
-        if (!std::isfinite(v))
-            throw std::invalid_argument("not finite");
-        return v;
-    } catch (const std::exception &) {
-        throw std::invalid_argument(
-            "bad " + what + ": '" + s +
-            "' (expected a finite number)");
-    }
-}
-
-/** Parses an integer flag value; fractional input is an error. */
-long long
-parseInt(const std::string &s, const std::string &what)
-{
-    try {
-        std::size_t used = 0;
-        const long long v = std::stoll(s, &used);
-        if (used != s.size())
-            throw std::invalid_argument("trailing characters");
-        return v;
-    } catch (const std::exception &) {
-        throw std::invalid_argument(
-            "bad " + what + ": '" + s + "' (expected an integer)");
-    }
-}
-
-/** parseInt plus a minimum, with the range in the error message. */
-long long
-parseIntAtLeast(const std::string &s, const std::string &flag,
-                long long min_v)
-{
-    const long long v = parseInt(s, flag);
-    if (v < min_v) {
-        throw std::invalid_argument(
-            flag + " must be >= " + std::to_string(min_v) +
-            " (got " + s + ")");
-    }
-    return v;
-}
-
 } // namespace
 
-/**
- * Print a run's blame ledger, largest attributed share first (ties
- * broken by key order, so the table is deterministic). `top` = 0
- * prints every row.
- */
-void
-printBlameTable(std::ostream &out,
-                const obs::AttributionLedger &ledger,
-                std::size_t top)
+std::vector<obs::AttributionRow>
+blameRows(const obs::AttributionLedger &ledger, std::size_t top)
 {
     auto rows = ledger.rows();
     std::stable_sort(rows.begin(), rows.end(),
@@ -121,9 +58,17 @@ printBlameTable(std::ostream &out,
                      });
     if (top > 0 && rows.size() > top)
         rows.resize(top);
+    return rows;
+}
+
+void
+printBlameTable(std::ostream &out,
+                const obs::AttributionLedger &ledger,
+                std::size_t top)
+{
     report::TextTable t({"victim", "culprit", "resource",
                          "sum R_i share", "epochs"});
-    for (const auto &r : rows) {
+    for (const auto &r : blameRows(ledger, top)) {
         t.addRow({r.victim, r.culprit, r.resource,
                   report::TextTable::num(r.share),
                   std::to_string(r.epochs)});
@@ -148,35 +93,13 @@ parseSimulateArgs(const std::vector<std::string> &args,
                   bool require_apps)
 {
     SimulateOptions opt;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        std::string a = args[i];
-        // "--flag=value" is split here so every flag accepts both
-        // spellings; positional "app=load" specs never start with
-        // '-' and are untouched.
-        std::string inline_value;
-        bool has_inline = false;
-        if (a.rfind("--", 0) == 0) {
-            const auto eq = a.find('=');
-            if (eq != std::string::npos) {
-                inline_value = a.substr(eq + 1);
-                a = a.substr(0, eq);
-                has_inline = true;
-            }
-        }
-        auto next = [&](const char *flag) -> std::string {
-            if (has_inline)
-                return inline_value;
-            if (i + 1 >= args.size()) {
-                throw std::invalid_argument(
-                    std::string(flag) + " needs a value");
-            }
-            return args[++i];
-        };
+    FlagScanner s(args);
+    while (s.next()) {
+        const std::string &a = s.name();
         if (a == "--strategy") {
-            opt.strategy = next("--strategy");
+            opt.strategy = s.value();
         } else if (a == "--duration") {
-            opt.durationSeconds =
-                parseDouble(next("--duration"), "--duration");
+            opt.durationSeconds = s.number();
             if (opt.durationSeconds <= 0.0) {
                 throw std::invalid_argument(
                     "--duration must be a positive number of "
@@ -184,30 +107,24 @@ parseSimulateArgs(const std::vector<std::string> &args,
                     std::to_string(opt.durationSeconds) + ")");
             }
         } else if (a == "--warmup") {
-            opt.warmupEpochs = static_cast<int>(
-                parseIntAtLeast(next("--warmup"), "--warmup", 0));
+            opt.warmupEpochs = static_cast<int>(s.integer(0));
         } else if (a == "--cores") {
-            opt.cores = static_cast<int>(
-                parseIntAtLeast(next("--cores"), "--cores", 1));
+            opt.cores = static_cast<int>(s.integer(1));
         } else if (a == "--ways") {
-            opt.ways = static_cast<int>(
-                parseIntAtLeast(next("--ways"), "--ways", 1));
+            opt.ways = static_cast<int>(s.integer(1));
         } else if (a == "--bw") {
-            opt.bwUnits = static_cast<int>(
-                parseIntAtLeast(next("--bw"), "--bw", 1));
+            opt.bwUnits = static_cast<int>(s.integer(1));
         } else if (a == "--seed") {
-            opt.seed = static_cast<std::uint64_t>(
-                parseIntAtLeast(next("--seed"), "--seed", 0));
+            opt.seed = static_cast<std::uint64_t>(s.integer(0));
         } else if (a == "--percentile") {
-            opt.percentile =
-                parseDouble(next("--percentile"), "--percentile");
+            opt.percentile = s.number();
             if (opt.percentile <= 0.0 || opt.percentile >= 1.0) {
                 throw std::invalid_argument(
                     "--percentile must be in (0, 1), got " +
                     std::to_string(opt.percentile));
             }
         } else if (a == "--ri") {
-            opt.ri = parseDouble(next("--ri"), "--ri");
+            opt.ri = s.number();
             if (opt.ri < 0.0 || opt.ri > 1.0) {
                 throw std::invalid_argument(
                     "--ri must be within [0, 1] (Eq. 7 weights "
@@ -215,17 +132,16 @@ parseSimulateArgs(const std::vector<std::string> &args,
                     std::to_string(opt.ri));
             }
         } else if (a == "--check") {
-            opt.checkMode = check::modeFromString(next("--check"));
+            opt.checkMode = check::modeFromString(s.value());
             opt.checkModeExplicit = true;
         } else if (a == "--faults") {
-            opt.faultsPath = next("--faults");
+            opt.faultsPath = s.value();
         } else if (a == "--csv") {
-            opt.csvPath = next("--csv");
+            opt.csvPath = s.value();
         } else if (a == "--trace") {
-            opt.tracePath = next("--trace");
+            opt.tracePath = s.value();
         } else if (a == "--trace-sample") {
-            opt.traceSampleRate = parseDouble(
-                next("--trace-sample"), "--trace-sample");
+            opt.traceSampleRate = s.number();
             if (opt.traceSampleRate < 0.0 ||
                 opt.traceSampleRate > 1.0) {
                 throw std::invalid_argument(
@@ -234,33 +150,20 @@ parseSimulateArgs(const std::vector<std::string> &args,
                     std::to_string(opt.traceSampleRate));
             }
         } else if (a == "--metrics") {
-            if (has_inline) {
-                throw std::invalid_argument(
-                    "--metrics does not take a value");
-            }
+            s.noValue();
             opt.dumpMetrics = true;
         } else if (a == "--attribute") {
-            if (has_inline) {
-                throw std::invalid_argument(
-                    "--attribute does not take a value");
-            }
+            s.noValue();
             opt.attribute = true;
         } else if (a == "--slo") {
-            if (has_inline) {
-                throw std::invalid_argument(
-                    "--slo does not take a value");
-            }
+            s.noValue();
             opt.slo = true;
         } else if (a == "--profile") {
-            if (has_inline) {
-                throw std::invalid_argument(
-                    "--profile does not take a value");
-            }
+            s.noValue();
             opt.profile = true;
         } else if (a == "--jobs") {
-            opt.jobs = static_cast<int>(
-                parseIntAtLeast(next("--jobs"), "--jobs", 1));
-        } else if (!a.empty() && a[0] == '-') {
+            opt.jobs = static_cast<int>(s.integer(1));
+        } else if (s.isFlag()) {
             throw std::invalid_argument("unknown option: " + a);
         } else {
             const auto eq = a.find('=');
@@ -402,28 +305,8 @@ runSimulate(const std::vector<std::string> &args, std::ostream &out,
 
     try {
         applyJobs(opt);
-        std::vector<cluster::ColocatedApp> colocated;
-        for (const auto &[name, load] : opt.lcApps)
-            colocated.push_back(
-                cluster::lcAt(apps::byName(name), load));
-        for (const auto &name : opt.beApps)
-            colocated.push_back(cluster::be(apps::byName(name)));
-
-        const auto mc = machine::MachineConfig::xeonE52630v4()
-                            .withAvailable(opt.cores, opt.ways,
-                                           opt.bwUnits);
-        cluster::Node node(mc, std::move(colocated));
-
-        cluster::SimulationConfig cfg;
-        cfg.durationSeconds = opt.durationSeconds;
-        cfg.warmupEpochs = opt.warmupEpochs;
-        cfg.seed = opt.seed;
-        cfg.tailPercentile = opt.percentile;
-        cfg.ri = opt.ri;
-        cfg.checkMode = opt.checkMode;
-        cfg.traceSampleRate = opt.traceSampleRate;
-        cfg.attribute = opt.attribute;
-        cfg.slo = opt.slo;
+        const cluster::Node node = nodeFor(opt);
+        cluster::SimulationConfig cfg = simulationConfigFor(opt);
 
         // The plan must outlive the run: cfg holds a pointer.
         fault::FaultPlan plan;
@@ -539,33 +422,17 @@ runOracle(const std::vector<std::string> &args, std::ostream &out,
           std::ostream &err)
 {
     // Reuse the simulate grammar; --waystep rides on top.
-    std::vector<std::string> passthrough;
     int way_step = 2;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        std::string value;
-        if (args[i] == "--waystep") {
-            if (i + 1 >= args.size()) {
-                err << "error: --waystep needs a value\n";
-                return 2;
-            }
-            value = args[++i];
-        } else if (args[i].rfind("--waystep=", 0) == 0) {
-            value = args[i].substr(std::string("--waystep=").size());
-        } else {
-            passthrough.push_back(args[i]);
-            continue;
-        }
-        try {
-            way_step = static_cast<int>(
-                parseIntAtLeast(value, "--waystep", 1));
-        } catch (const std::exception &e) {
-            err << "error: " << e.what() << "\n";
-            return 2;
-        }
-    }
-
     SimulateOptions opt;
     try {
+        std::vector<std::string> passthrough;
+        FlagScanner s(args);
+        while (s.next()) {
+            if (s.name() == "--waystep")
+                way_step = static_cast<int>(s.integer(1));
+            else
+                passthrough.push_back(s.raw());
+        }
         opt = parseSimulateArgs(passthrough);
     } catch (const std::exception &e) {
         err << "error: " << e.what() << "\n";
@@ -574,16 +441,7 @@ runOracle(const std::vector<std::string> &args, std::ostream &out,
 
     try {
         applyJobs(opt);
-        std::vector<cluster::ColocatedApp> colocated;
-        for (const auto &[name, load] : opt.lcApps)
-            colocated.push_back(
-                cluster::lcAt(apps::byName(name), load));
-        for (const auto &name : opt.beApps)
-            colocated.push_back(cluster::be(apps::byName(name)));
-        const auto mc = machine::MachineConfig::xeonE52630v4()
-                            .withAvailable(opt.cores, opt.ways,
-                                           opt.bwUnits);
-        cluster::Node node(mc, std::move(colocated));
+        const cluster::Node node = nodeFor(opt);
 
         cluster::OracleConfig ocfg;
         ocfg.wayStep = way_step;
@@ -627,18 +485,17 @@ runSweep(const std::vector<std::string> &args, std::ostream &out,
 
     try {
         applyJobs(opt);
-        const auto mc = machine::MachineConfig::xeonE52630v4()
-                            .withAvailable(opt.cores, opt.ways,
-                                           opt.bwUnits);
         const std::vector<std::string> strategies{
             "Unmanaged", "LC-first", "PARTIES", "CLITE", "ARQ"};
         const std::vector<double> loads{0.1, 0.3, 0.5, 0.7, 0.9};
 
         // Shared by every job below; must outlive runner.run().
         fault::FaultPlan plan;
-        const bool faulting = !opt.faultsPath.empty();
-        if (faulting)
+        cluster::SimulationConfig cfg = simulationConfigFor(opt);
+        if (!opt.faultsPath.empty()) {
             plan = fault::FaultPlan::fromFile(opt.faultsPath);
+            cfg.faults = &plan;
+        }
 
         std::unique_ptr<obs::FileTraceSink> sink;
         obs::MetricsRegistry metrics;
@@ -668,34 +525,10 @@ runSweep(const std::vector<std::string> &args, std::ostream &out,
         // pool; results and (while tracing) trace buffers come back
         // in job order, so the output is identical at any --jobs.
         std::vector<exec::ScenarioJob> jobs;
+        SimulateOptions at = opt;
         for (double load : loads) {
-            std::vector<cluster::ColocatedApp> colocated;
-            colocated.push_back(
-                cluster::lcAt(apps::byName(opt.lcApps[0].first),
-                              load));
-            for (std::size_t i = 1; i < opt.lcApps.size(); ++i) {
-                colocated.push_back(cluster::lcAt(
-                    apps::byName(opt.lcApps[i].first),
-                    opt.lcApps[i].second));
-            }
-            for (const auto &name : opt.beApps)
-                colocated.push_back(
-                    cluster::be(apps::byName(name)));
-            cluster::Node node(mc, std::move(colocated));
-
-            cluster::SimulationConfig cfg;
-            cfg.durationSeconds = opt.durationSeconds;
-            cfg.warmupEpochs = opt.warmupEpochs;
-            cfg.seed = opt.seed;
-            cfg.tailPercentile = opt.percentile;
-            cfg.ri = opt.ri;
-            cfg.checkMode = opt.checkMode;
-            cfg.traceSampleRate = opt.traceSampleRate;
-            cfg.attribute = opt.attribute;
-            cfg.slo = opt.slo;
-            if (faulting)
-                cfg.faults = &plan;
-
+            at.lcApps[0].second = load;
+            const cluster::Node node = nodeFor(at);
             const std::string load_tag =
                 report::TextTable::num(load * 100, 0) + "%";
             for (const auto &name : strategies) {
@@ -766,36 +599,19 @@ runChaos(const std::vector<std::string> &args, std::ostream &out,
                           {"img-dnn", 0.2}};
             opt.beApps = {"stream"};
         }
-        std::vector<cluster::ColocatedApp> colocated;
-        for (const auto &[name, load] : opt.lcApps)
-            colocated.push_back(
-                cluster::lcAt(apps::byName(name), load));
-        for (const auto &name : opt.beApps)
-            colocated.push_back(cluster::be(apps::byName(name)));
-        const auto mc = machine::MachineConfig::xeonE52630v4()
-                            .withAvailable(opt.cores, opt.ways,
-                                           opt.bwUnits);
-        cluster::Node node(mc, std::move(colocated));
+        const cluster::Node node = nodeFor(opt);
 
         const fault::FaultPlan plan =
             opt.faultsPath.empty()
                 ? fault::FaultPlan::builtinChaos()
                 : fault::FaultPlan::fromFile(opt.faultsPath);
 
-        cluster::SimulationConfig cfg;
-        cfg.durationSeconds = opt.durationSeconds;
-        cfg.warmupEpochs = opt.warmupEpochs;
-        cfg.seed = opt.seed;
-        cfg.tailPercentile = opt.percentile;
-        cfg.ri = opt.ri;
+        cluster::SimulationConfig cfg = simulationConfigFor(opt);
         // Chaos exists to prove the invariants hold under faults,
         // so the auditor is strict unless --check says otherwise.
         cfg.checkMode = opt.checkModeExplicit ? opt.checkMode
                                               : check::Mode::Strict;
         cfg.faults = &plan;
-        cfg.traceSampleRate = opt.traceSampleRate;
-        cfg.attribute = opt.attribute;
-        cfg.slo = opt.slo;
 
         std::unique_ptr<obs::FileTraceSink> sink;
         obs::MetricsRegistry metrics;

@@ -1,20 +1,35 @@
 /**
  * @file
  * The `ahq` command-line tool's parsing and execution layer, kept
- * separate from main() so the test suite can exercise it.
+ * separate from main() so the test suite can exercise it. Every
+ * verb reads its flags, traces and run inputs through the shared
+ * front end in front_end.hh (DESIGN.md §18).
  *
- * Subcommands:
- *   ahq entropy <observations.csv>
- *       Compute E_LC / E_BE / E_S from measured observations.
- *       CSV rows: "lc,<name>,<ideal_ms>,<actual_ms>,<threshold_ms>"
- *               | "be,<name>,<ipc_solo>,<ipc_real>"
- *   ahq simulate [options] <app>=<load>... <be_app>...
- *       Simulate a colocation under a strategy.
- *   ahq chaos [options] [<app>=<load>... <be_app>...]
- *       Run every strategy under an injected fault plan with the
- *       strict invariant auditor watching (see docs/FAULTS.md).
- *   ahq apps | ahq strategies
- *       List the catalogue / the strategy registry.
+ * Subcommands (`ahq help` prints the same list with their flags):
+ *
+ *   Run a simulation (simulate's option grammar):
+ *     simulate    one colocation under one strategy
+ *     sweep       Fig. 8-style E_S table over the first LC load
+ *     chaos       every strategy under an injected fault plan
+ *     oracle      best static partitions (isolated / hybrid)
+ *     fleet       datacenter-scale fleet under the load generator
+ *     experiment  online A/B policy experiment:
+ *                 design | run | analyze | verdict
+ *
+ *   Read a JSONL trace or BENCH_*.json back:
+ *     trace       per-scenario summary of a --trace run
+ *     timeline    series sparklines / csv / json (Fig. 13)
+ *     profile     span tree of a --profile run
+ *     why         blame table of a --attribute run
+ *     alerts      SLO alert timeline of a --slo run
+ *     report      traces + bench files folded into JSON / Markdown
+ *     bench-diff  per-benchmark speedups and regression gate
+ *
+ *   Other:
+ *     entropy     E_S from an observations CSV
+ *     apps        the workload catalogue
+ *     strategies  the scheduler registry
+ *     checks      the invariant-audit registry
  */
 
 #ifndef AHQ_TOOLS_CLI_HH
@@ -303,12 +318,18 @@ void printSpanProfile(std::ostream &out,
                       bool wall_times);
 
 /**
- * Print a blame ledger as a text table, largest attributed share
- * first (ties broken by ledger key order, so the output is
- * deterministic) — the console rendering simulate/fleet use for
- * --attribute and `ahq why` uses for its text format.
+ * A blame ledger's rows, largest attributed share first (ties
+ * broken by ledger key order, so the order is deterministic).
  *
  * @param top Keep only the `top` largest rows; 0 = all.
+ */
+std::vector<obs::AttributionRow>
+blameRows(const obs::AttributionLedger &ledger, std::size_t top);
+
+/**
+ * Print blameRows(ledger, top) as a text table — the console
+ * rendering simulate/fleet use for --attribute and `ahq why` uses
+ * for its text format.
  */
 void printBlameTable(std::ostream &out,
                      const obs::AttributionLedger &ledger,

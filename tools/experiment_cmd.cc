@@ -14,13 +14,13 @@
  */
 
 #include "cli.hh"
+#include "front_end.hh"
 
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "exec/jobs.hh"
 #include "experiment/harness.hh"
 #include "fault/plan.hh"
 #include "obs/metrics.hh"
@@ -35,53 +35,14 @@ namespace ahq::cli
 namespace
 {
 
-long long
-expInt(const std::string &s, const std::string &flag,
-       long long min_v)
-{
-    long long v = 0;
-    try {
-        std::size_t used = 0;
-        v = std::stoll(s, &used);
-        if (used != s.size())
-            throw std::invalid_argument("trailing characters");
-    } catch (const std::exception &) {
-        throw std::invalid_argument("bad " + flag + ": '" + s +
-                                    "' (expected an integer)");
-    }
-    if (v < min_v) {
-        throw std::invalid_argument(
-            flag + " must be >= " + std::to_string(min_v) +
-            " (got " + s + ")");
-    }
-    return v;
-}
-
-double
-expDouble(const std::string &s, const std::string &flag)
-{
-    try {
-        std::size_t used = 0;
-        const double v = std::stod(s, &used);
-        if (used != s.size())
-            throw std::invalid_argument("trailing characters");
-        return v;
-    } catch (const std::exception &) {
-        throw std::invalid_argument(
-            "bad " + flag + ": '" + s +
-            "' (expected a number)");
-    }
-}
-
 /** Experiment-only flags, peeled off before parseSimulateArgs. */
 struct ExpFlags
 {
     experiment::ExperimentDesign design;
     experiment::EstimatorConfig estimator;
-    int lcPerNode = 2;
-    int bePerNode = 1;
-    int tenants = 64;
-    double zipfSkew = 1.1;
+
+    /** Workload shape (--lc --be --tenants --zipf). */
+    trace::FleetLoadConfig load;
 };
 
 /**
@@ -93,67 +54,34 @@ peelFlags(const std::vector<std::string> &args,
           std::vector<std::string> &rest)
 {
     ExpFlags f;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        std::string a = args[i];
-        std::string inline_value;
-        bool has_inline = false;
-        if (a.rfind("--", 0) == 0) {
-            const auto eq = a.find('=');
-            if (eq != std::string::npos) {
-                inline_value = a.substr(eq + 1);
-                a = a.substr(0, eq);
-                has_inline = true;
-            }
-        }
-        auto next = [&](const char *flag) -> std::string {
-            if (has_inline)
-                return inline_value;
-            if (i + 1 >= args.size()) {
-                throw std::invalid_argument(
-                    std::string(flag) + " needs a value");
-            }
-            return args[++i];
-        };
+    FlagScanner s(args);
+    while (s.next()) {
+        const std::string &a = s.name();
+        if (scanLoadShape(s, f.load))
+            continue;
         if (a == "--design") {
-            f.design.kind = experiment::designKindFromName(
-                next("--design"));
+            f.design.kind = experiment::designKindFromName(s.value());
         } else if (a == "--arm-a") {
-            f.design.armA = next("--arm-a");
+            f.design.armA = s.value();
         } else if (a == "--arm-b") {
-            f.design.armB = next("--arm-b");
+            f.design.armB = s.value();
         } else if (a == "--nodes") {
-            f.design.numNodes = static_cast<int>(
-                expInt(next("--nodes"), "--nodes", 1));
+            f.design.numNodes = static_cast<int>(s.integer(1));
         } else if (a == "--blocks") {
-            f.design.blocksPerNode = static_cast<int>(
-                expInt(next("--blocks"), "--blocks", 2));
+            f.design.blocksPerNode = static_cast<int>(s.integer(2));
         } else if (a == "--block-epochs") {
-            f.design.blockEpochs = static_cast<int>(expInt(
-                next("--block-epochs"), "--block-epochs", 1));
+            f.design.blockEpochs = static_cast<int>(s.integer(1));
         } else if (a == "--resamples") {
-            f.estimator.resamples = static_cast<int>(expInt(
-                next("--resamples"), "--resamples", 1));
+            f.estimator.resamples = static_cast<int>(s.integer(1));
         } else if (a == "--confidence") {
-            f.estimator.confidence =
-                expDouble(next("--confidence"), "--confidence");
+            f.estimator.confidence = s.number();
             if (f.estimator.confidence <= 0.0 ||
                 f.estimator.confidence >= 1.0) {
                 throw std::invalid_argument(
                     "--confidence must be in (0, 1)");
             }
-        } else if (a == "--lc") {
-            f.lcPerNode = static_cast<int>(
-                expInt(next("--lc"), "--lc", 1));
-        } else if (a == "--be") {
-            f.bePerNode = static_cast<int>(
-                expInt(next("--be"), "--be", 0));
-        } else if (a == "--tenants") {
-            f.tenants = static_cast<int>(
-                expInt(next("--tenants"), "--tenants", 1));
-        } else if (a == "--zipf") {
-            f.zipfSkew = expDouble(next("--zipf"), "--zipf");
         } else {
-            rest.push_back(args[i]);
+            rest.push_back(s.raw());
         }
     }
     return f;
@@ -194,13 +122,15 @@ printEstimates(std::ostream &out,
         << ")\n";
 }
 
-/** Rebuild BlockStats from a trace's experiment_block events. */
-std::vector<experiment::BlockStat>
-blocksFromTrace(const std::string &path)
+/**
+ * Rebuild BlockStats from a trace's experiment_block events.
+ * @return false after a read error (printed on err).
+ */
+bool
+blocksFromTrace(const std::string &path, std::ostream &err,
+                std::vector<experiment::BlockStat> &blocks)
 {
-    std::vector<experiment::BlockStat> blocks;
-    obs::forEachTraceFile(path, [&](const obs::TraceEvent &ev,
-                                    int) {
+    return foldTrace(path, err, [&](const obs::TraceEvent &ev, int) {
         if (ev.type() != "experiment_block")
             return;
         experiment::BlockStat s;
@@ -216,7 +146,6 @@ blocksFromTrace(const std::string &path)
         s.violRate = ev.num("viol_rate");
         blocks.push_back(s);
     });
-    return blocks;
 }
 
 int
@@ -253,14 +182,9 @@ runRunVerb(const ExpFlags &flags, const SimulateOptions &opt,
     cfg.design.seed = opt.seed;
     cfg.estimator = flags.estimator;
     cfg.estimator.seed = opt.seed;
-    cfg.load.lcPerNode = flags.lcPerNode;
-    cfg.load.bePerNode = flags.bePerNode;
-    cfg.load.numTenants = flags.tenants;
-    cfg.load.zipfSkew = flags.zipfSkew;
+    cfg.load = flags.load;
     cfg.load.seed = opt.seed;
-    cfg.machine = machine::MachineConfig::xeonE52630v4()
-                      .withAvailable(opt.cores, opt.ways,
-                                     opt.bwUnits);
+    cfg.machine = machineFor(opt);
     cfg.base.seed = opt.seed;
     cfg.base.tailPercentile = opt.percentile;
     cfg.base.ri = opt.ri;
@@ -324,10 +248,10 @@ runExperiment(const std::vector<std::string> &args,
 
     if (verb == "analyze" || verb == "verdict") {
         // Trace-driven verbs: flags + one positional trace path.
-        std::vector<std::string> rest;
         ExpFlags flags;
         std::string path;
         try {
+            std::vector<std::string> rest;
             flags = peelFlags(tail, rest);
             for (const auto &a : rest) {
                 if (a.rfind("--", 0) == 0) {
@@ -343,24 +267,30 @@ runExperiment(const std::vector<std::string> &args,
             if (path.empty())
                 throw std::invalid_argument(
                     "trace file required");
-            const auto blocks = blocksFromTrace(path);
-            if (blocks.empty()) {
-                err << "error: no experiment_block events in "
-                    << path << "\n";
-                return 1;
-            }
-            const auto est = experiment::estimate(
-                blocks, flags.estimator);
-            const auto verdict = experiment::verdictOf(est);
-            if (verb == "verdict") {
-                out << experiment::verdictName(verdict) << "\n";
-            } else {
-                printEstimates(out, est, verdict);
-            }
-            return 0;
         } catch (const std::exception &e) {
             err << "error: " << e.what() << "\n";
             return 2;
+        }
+        std::vector<experiment::BlockStat> blocks;
+        if (!blocksFromTrace(path, err, blocks))
+            return 1;
+        if (blocks.empty()) {
+            err << "error: no experiment_block events in " << path
+                << "\n";
+            return 1;
+        }
+        try {
+            const auto est =
+                experiment::estimate(blocks, flags.estimator);
+            const auto verdict = experiment::verdictOf(est);
+            if (verb == "verdict")
+                out << experiment::verdictName(verdict) << "\n";
+            else
+                printEstimates(out, est, verdict);
+            return 0;
+        } catch (const std::exception &e) {
+            err << "error: " << e.what() << "\n";
+            return 1;
         }
     }
 
@@ -392,8 +322,7 @@ runExperiment(const std::vector<std::string> &args,
     }
 
     try {
-        if (opt.jobs > 0)
-            exec::setDefaultJobs(opt.jobs);
+        applyJobs(opt);
         if (verb == "design")
             return runDesignVerb(flags, out);
         return runRunVerb(flags, opt, out);

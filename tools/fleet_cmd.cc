@@ -8,6 +8,7 @@
  */
 
 #include "cli.hh"
+#include "front_end.hh"
 
 #include <chrono>
 #include <cmath>
@@ -15,7 +16,6 @@
 #include <stdexcept>
 
 #include "cluster/cluster_sched.hh"
-#include "exec/jobs.hh"
 #include "obs/metrics.hh"
 #include "obs/timeseries.hh"
 #include "obs/trace_sink.hh"
@@ -29,54 +29,11 @@ namespace ahq::cli
 namespace
 {
 
-long long
-fleetInt(const std::string &s, const std::string &flag,
-         long long min_v)
-{
-    long long v = 0;
-    try {
-        std::size_t used = 0;
-        v = std::stoll(s, &used);
-        if (used != s.size())
-            throw std::invalid_argument("trailing characters");
-    } catch (const std::exception &) {
-        throw std::invalid_argument("bad " + flag + ": '" + s +
-                                    "' (expected an integer)");
-    }
-    if (v < min_v) {
-        throw std::invalid_argument(
-            flag + " must be >= " + std::to_string(min_v) +
-            " (got " + s + ")");
-    }
-    return v;
-}
-
-double
-fleetDouble(const std::string &s, const std::string &flag)
-{
-    try {
-        std::size_t used = 0;
-        const double v = std::stod(s, &used);
-        if (used != s.size())
-            throw std::invalid_argument("trailing characters");
-        if (!std::isfinite(v))
-            throw std::invalid_argument("not finite");
-        return v;
-    } catch (const std::exception &) {
-        throw std::invalid_argument(
-            "bad " + flag + ": '" + s +
-            "' (expected a finite number)");
-    }
-}
-
 /** Fleet-only flags, peeled off before parseSimulateArgs. */
 struct FleetFlags
 {
-    int nodes = 8;
-    int lcPerNode = 2;
-    int bePerNode = 1;
-    int tenants = 64;
-    double zipfSkew = 1.1;
+    /** Workload shape (--nodes --lc --be --tenants --zipf). */
+    trace::FleetLoadConfig load;
 
     /** Rebalance round length in epochs; 0 = plain Fleet::run. */
     int rebalanceEvery = 0;
@@ -94,72 +51,29 @@ runFleet(const std::vector<std::string> &args, std::ostream &out,
          std::ostream &err)
 {
     FleetFlags ff;
+    ff.load.numNodes = 8;
     // Fleet defaults are deliberately lighter than simulate's (a
     // fleet multiplies everything by N nodes); an explicit
     // --duration / --warmup later in the list overrides these.
     std::vector<std::string> rest{"--duration", "30", "--warmup",
                                   "10"};
     try {
-        for (std::size_t i = 0; i < args.size(); ++i) {
-            std::string a = args[i];
-            std::string inline_value;
-            bool has_inline = false;
-            if (a.rfind("--", 0) == 0) {
-                const auto eq = a.find('=');
-                if (eq != std::string::npos) {
-                    inline_value = a.substr(eq + 1);
-                    a = a.substr(0, eq);
-                    has_inline = true;
-                }
-            }
-            auto next = [&](const char *flag) -> std::string {
-                if (has_inline)
-                    return inline_value;
-                if (i + 1 >= args.size()) {
-                    throw std::invalid_argument(
-                        std::string(flag) + " needs a value");
-                }
-                return args[++i];
-            };
+        FlagScanner s(args);
+        while (s.next()) {
+            const std::string &a = s.name();
+            if (scanLoadShape(s, ff.load))
+                continue;
             if (a == "--nodes") {
-                ff.nodes = static_cast<int>(
-                    fleetInt(next("--nodes"), "--nodes", 1));
-            } else if (a == "--lc") {
-                ff.lcPerNode = static_cast<int>(
-                    fleetInt(next("--lc"), "--lc", 1));
-            } else if (a == "--be") {
-                ff.bePerNode = static_cast<int>(
-                    fleetInt(next("--be"), "--be", 0));
-            } else if (a == "--tenants") {
-                ff.tenants = static_cast<int>(
-                    fleetInt(next("--tenants"), "--tenants", 1));
-            } else if (a == "--zipf") {
-                ff.zipfSkew = fleetDouble(next("--zipf"), "--zipf");
-                if (ff.zipfSkew < 0.0) {
-                    throw std::invalid_argument(
-                        "--zipf must be >= 0 (got " +
-                        std::to_string(ff.zipfSkew) + ")");
-                }
+                ff.load.numNodes = static_cast<int>(s.integer(1));
             } else if (a == "--rebalance-every") {
-                ff.rebalanceEvery = static_cast<int>(
-                    fleetInt(next("--rebalance-every"),
-                             "--rebalance-every", 0));
+                ff.rebalanceEvery = static_cast<int>(s.integer(0));
             } else if (a == "--spread") {
-                ff.spreadThreshold =
-                    fleetDouble(next("--spread"), "--spread");
-                if (ff.spreadThreshold < 0.0) {
-                    throw std::invalid_argument(
-                        "--spread must be >= 0 (got " +
-                        std::to_string(ff.spreadThreshold) + ")");
-                }
+                ff.spreadThreshold = s.numberAtLeast(0.0);
             } else if (a == "--keep-epochs") {
-                if (has_inline) {
-                    throw std::invalid_argument(
-                        "--keep-epochs does not take a value");
-                }
+                s.noValue();
                 ff.keepEpochs = true;
             } else {
-                rest.push_back(args[i]);
+                rest.push_back(s.raw());
             }
         }
     } catch (const std::exception &e) {
@@ -183,32 +97,14 @@ runFleet(const std::vector<std::string> &args, std::ostream &out,
     }
 
     try {
-        if (opt.jobs > 0)
-            exec::setDefaultJobs(opt.jobs);
-        trace::FleetLoadConfig lc;
-        lc.numNodes = ff.nodes;
-        lc.lcPerNode = ff.lcPerNode;
-        lc.bePerNode = ff.bePerNode;
-        lc.numTenants = ff.tenants;
-        lc.zipfSkew = ff.zipfSkew;
+        applyJobs(opt);
+        trace::FleetLoadConfig lc = ff.load;
         lc.seed = opt.seed;
         const trace::FleetLoadGenerator gen(lc);
+        const auto mc = machineFor(opt);
 
-        const auto mc = machine::MachineConfig::xeonE52630v4()
-                            .withAvailable(opt.cores, opt.ways,
-                                           opt.bwUnits);
-
-        cluster::SimulationConfig cfg;
-        cfg.durationSeconds = opt.durationSeconds;
-        cfg.warmupEpochs = opt.warmupEpochs;
-        cfg.seed = opt.seed;
-        cfg.tailPercentile = opt.percentile;
-        cfg.ri = opt.ri;
-        cfg.checkMode = opt.checkMode;
-        cfg.traceSampleRate = opt.traceSampleRate;
+        cluster::SimulationConfig cfg = simulationConfigFor(opt);
         cfg.keepEpochs = ff.keepEpochs;
-        cfg.attribute = opt.attribute;
-        cfg.slo = opt.slo;
 
         std::unique_ptr<obs::FileTraceSink> sink;
         obs::MetricsRegistry metrics;
@@ -226,9 +122,9 @@ runFleet(const std::vector<std::string> &args, std::ostream &out,
         // Peak offered demand: every LC slot's tenant at its
         // daytime peak, in the app's own QPS units.
         double peak_qps = 0.0;
-        for (int n = 0; n < ff.nodes; ++n) {
+        for (int n = 0; n < lc.numNodes; ++n) {
             const auto apps = cluster::fleetNodeApps(gen, n);
-            for (int s = 0; s < ff.lcPerNode; ++s) {
+            for (int s = 0; s < lc.lcPerNode; ++s) {
                 const auto rank = gen.tenant(n, s);
                 peak_qps += gen.tenantPeakLoad(rank) *
                     apps[static_cast<std::size_t>(s)]
@@ -236,10 +132,10 @@ runFleet(const std::vector<std::string> &args, std::ostream &out,
             }
         }
 
-        out << "fleet: " << ff.nodes << " nodes x ("
-            << ff.lcPerNode << " LC + " << ff.bePerNode
-            << " BE), " << ff.tenants << " tenants (zipf "
-            << ff.zipfSkew << "), strategy " << opt.strategy
+        out << "fleet: " << lc.numNodes << " nodes x ("
+            << lc.lcPerNode << " LC + " << lc.bePerNode
+            << " BE), " << lc.numTenants << " tenants (zipf "
+            << lc.zipfSkew << "), strategy " << opt.strategy
             << "\n";
         out << "peak demand ~ "
             << static_cast<long long>(std::llround(peak_qps))
@@ -265,7 +161,7 @@ runFleet(const std::vector<std::string> &args, std::ostream &out,
                 cfg.warmupEpochs, cc.roundEpochs - 1);
             cc.spreadThreshold = ff.spreadThreshold;
             cluster::ClusterScheduler cs(cc, opt.strategy);
-            for (int n = 0; n < ff.nodes; ++n)
+            for (int n = 0; n < lc.numNodes; ++n)
                 cs.addNode(mc, cluster::fleetNodeApps(gen, n));
             const auto res = cs.run(cfg);
             report::TextTable t(
@@ -299,7 +195,7 @@ runFleet(const std::vector<std::string> &args, std::ostream &out,
             slo_totals = res.slo;
         } else {
             cluster::Fleet fleet;
-            for (int n = 0; n < ff.nodes; ++n) {
+            for (int n = 0; n < lc.numNodes; ++n) {
                 fleet.addNode(
                     cluster::Node(mc,
                                   cluster::fleetNodeApps(gen, n)),
@@ -336,7 +232,7 @@ runFleet(const std::vector<std::string> &args, std::ostream &out,
         out << "wall " << report::TextTable::num(wall_s, 2)
             << " s, "
             << report::TextTable::num(
-                   wall_s > 0.0 ? ff.nodes / wall_s : 0.0, 1)
+                   wall_s > 0.0 ? lc.numNodes / wall_s : 0.0, 1)
             << " nodes/s\n";
 
         if (sink) {

@@ -7,15 +7,13 @@
  */
 
 #include "cli.hh"
+#include "front_end.hh"
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <stdexcept>
 
-#include "obs/scope.hh"
 #include "obs/span.hh"
-#include "obs/trace_reader.hh"
 #include "report/table.hh"
 
 namespace ahq::cli
@@ -129,42 +127,30 @@ runProfile(const std::vector<std::string> &args, std::ostream &out,
     std::map<std::string, std::map<std::string, SpanRow>> scen;
     std::map<std::string, bool> timed;
     long long span_events = 0;
-    try {
-        obs::forEachTraceFile(
-            args[0],
-            [&](const obs::TraceEvent &ev, int) {
-                const int v = static_cast<int>(ev.num("v", -1.0));
-                if (v != obs::kSchemaVersion) {
-                    throw std::runtime_error(
-                        "unsupported schema version " +
-                        std::to_string(v) +
-                        " (this build reads v" +
-                        std::to_string(obs::kSchemaVersion) + ")");
-                }
-                if (ev.type() != "span")
-                    return;
-                ++span_events;
-                const std::string tag = ev.str("scenario");
-                if (scen.find(tag) == scen.end())
-                    order.push_back(tag);
-                auto &row = scen[tag][ev.str("path")];
-                row.count +=
-                    static_cast<std::uint64_t>(ev.num("count"));
-                if (ev.has("total_ms")) {
-                    timed[tag] = true;
-                    row.totalMs += ev.num("total_ms");
-                    row.maxMs =
-                        std::max(row.maxMs, ev.num("max_ms"));
-                    // Merged events lose exact quantiles; the max
-                    // of the per-flush p99s is a sound upper bound.
-                    row.p99Ms =
-                        std::max(row.p99Ms, ev.num("p99_ms"));
-                }
-            });
-    } catch (const std::exception &e) {
-        err << "error: " << e.what() << "\n";
+    const bool read = foldTrace(
+        args[0], err, [&](const obs::TraceEvent &ev, int) {
+            if (ev.type() != "span")
+                return;
+            ++span_events;
+            const std::string tag = ev.str("scenario");
+            if (scen.find(tag) == scen.end())
+                order.push_back(tag);
+            auto &row = scen[tag][ev.str("path")];
+            row.count +=
+                static_cast<std::uint64_t>(ev.num("count"));
+            if (ev.has("total_ms")) {
+                timed[tag] = true;
+                row.totalMs += ev.num("total_ms");
+                row.maxMs =
+                    std::max(row.maxMs, ev.num("max_ms"));
+                // Merged events lose exact quantiles; the max
+                // of the per-flush p99s is a sound upper bound.
+                row.p99Ms =
+                    std::max(row.p99Ms, ev.num("p99_ms"));
+            }
+        });
+    if (!read)
         return 1;
-    }
     if (span_events == 0) {
         err << "error: " << args[0]
             << ": no span events (produce one with "
@@ -176,7 +162,7 @@ runProfile(const std::vector<std::string> &args, std::ostream &out,
         << scen.size() << " scenario(s)\n";
     for (const auto &tag : order) {
         out << "scenario "
-            << (tag.empty() ? "(untagged)" : tag) << ":\n";
+            << scenarioLabel(tag) << ":\n";
         printTree(out, scen[tag], timed[tag]);
     }
     return 0;

@@ -8,10 +8,10 @@
  */
 
 #include "cli.hh"
+#include "front_end.hh"
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <fstream>
 #include <map>
 #include <stdexcept>
@@ -42,15 +42,10 @@ struct RunSummary
 
     /**
      * Folded E_S summary from the run's `series` event (the
-     * TimeSeriesRegistry flush), when the trace carries one. p99
-     * is the count-weighted 99th percentile of per-bucket maxima
-     * — an upper estimate that survives downsampling, since
-     * folding preserves maxima exactly.
+     * TimeSeriesRegistry flush); es.buckets == 0 when the trace
+     * carries none.
      */
-    bool hasSeries = false;
-    double esMin = 0.0;
-    double esMax = 0.0;
-    double esP99 = 0.0;
+    SeriesSummary es;
 
     /** SLO alert accounting from alert_raise / alert_clear. */
     long long alertRaises = 0;
@@ -95,60 +90,20 @@ isDecisionType(const std::string &type)
         type.compare(type.size() - 9, 9, "_decision") == 0;
 }
 
-/** Fold an `e_s` series event's buckets into the run summary. */
-void
-foldEsSeries(RunSummary &s, const obs::TraceEvent &ev)
-{
-    const auto n = ev.nums("n");
-    const auto mins = ev.nums("min");
-    const auto maxs = ev.nums("max");
-    const std::size_t len =
-        std::min({n.size(), mins.size(), maxs.size()});
-    std::vector<std::pair<double, std::uint64_t>> maxima;
-    std::uint64_t total = 0;
-    bool any = false;
-    for (std::size_t i = 0; i < len; ++i) {
-        if (n[i] <= 0)
-            continue; // empty bucket (rendered as zeros)
-        const auto cnt = static_cast<std::uint64_t>(n[i]);
-        if (!any) {
-            s.esMin = mins[i];
-            s.esMax = maxs[i];
-            any = true;
-        } else {
-            s.esMin = std::min(s.esMin, mins[i]);
-            s.esMax = std::max(s.esMax, maxs[i]);
-        }
-        maxima.emplace_back(maxs[i], cnt);
-        total += cnt;
-    }
-    if (!any)
-        return;
-    s.hasSeries = true;
-    std::sort(maxima.begin(), maxima.end());
-    const double target = 0.99 * static_cast<double>(total);
-    std::uint64_t seen = 0;
-    s.esP99 = maxima.back().first;
-    for (const auto &[mx, cnt] : maxima) {
-        seen += cnt;
-        if (static_cast<double>(seen) >= target) {
-            s.esP99 = mx;
-            break;
-        }
-    }
-}
-
-/** Scan one input file into the run / bench aggregates. */
-void
-scanInput(const std::string &path,
+/**
+ * Scan one input file into the run / bench aggregates.
+ * @return false after a read error (printed on err).
+ */
+bool
+scanInput(const std::string &path, std::ostream &err,
           std::vector<RunSummary> &runs,
           std::vector<BenchEntry> &bench,
           std::vector<ExperimentEntry> &experiments)
 {
     // (file, scenario) -> index into runs, keeping file order.
     std::map<std::string, std::size_t> index;
-    obs::forEachTraceFile(
-        path, [&](const obs::TraceEvent &ev, int) {
+    return foldTrace(
+        path, err, [&](const obs::TraceEvent &ev, int) {
             const std::string type = ev.type();
             if (type == "bench") {
                 BenchEntry e;
@@ -185,8 +140,9 @@ scanInput(const std::string &path,
             auto it = index.find(tag);
             if (it == index.end()) {
                 it = index.emplace(tag, runs.size()).first;
-                runs.push_back({path, tag, "", 0, 0.0, 0.0, 0,
-                                0, 0});
+                runs.emplace_back();
+                runs.back().file = path;
+                runs.back().scenario = tag;
             }
             RunSummary &s = runs[it->second];
             if (type == "run_start") {
@@ -210,11 +166,15 @@ scanInput(const std::string &path,
                                        ev.num("burn_fast"));
             } else if (type == "series" &&
                        ev.str("series") == "e_s") {
-                foldEsSeries(s, ev);
+                const auto es =
+                    summarizeSeries(ev.nums("n"), ev.nums("min"),
+                                    ev.nums("max"), ev.nums("sum"));
+                if (es.buckets > 0)
+                    s.es = es;
             } else if (isDecisionType(type)) {
                 ++s.decisions;
             }
-        });
+        }, nullptr, /*bench_rows=*/true);
 }
 
 void
@@ -243,13 +203,13 @@ emitJson(std::ostream &out, const std::vector<RunSummary> &runs,
         obs::json::appendNumber(b, s.finalEs);
         b += ",\"decisions\":";
         obs::json::appendNumber(b, s.decisions);
-        if (s.hasSeries) {
+        if (s.es.buckets > 0) {
             b += ",\"es_min\":";
-            obs::json::appendNumber(b, s.esMin);
+            obs::json::appendNumber(b, s.es.min);
             b += ",\"es_max\":";
-            obs::json::appendNumber(b, s.esMax);
+            obs::json::appendNumber(b, s.es.max);
             b += ",\"es_p99\":";
-            obs::json::appendNumber(b, s.esP99);
+            obs::json::appendNumber(b, s.es.p99);
         }
         b += ",\"spans\":";
         obs::json::appendNumber(b, s.spans);
@@ -334,8 +294,7 @@ emitMarkdown(std::ostream &out,
                "---|---|---|\n";
         for (const RunSummary &s : runs) {
             out << "| " << s.file << " | "
-                << (s.scenario.empty() ? "(untagged)"
-                                       : s.scenario)
+                << scenarioLabel(s.scenario)
                 << " | " << (s.scheduler.empty() ? "-"
                                                  : s.scheduler)
                 << " | " << s.epochs << " | "
@@ -343,14 +302,14 @@ emitMarkdown(std::ostream &out,
                        s.epochs > 0 ? s.sumEs / s.epochs : 0.0)
                 << " | " << report::TextTable::num(s.finalEs)
                 << " | "
-                << (s.hasSeries
-                        ? report::TextTable::num(s.esMin) : "-")
+                << (s.es.buckets > 0
+                        ? report::TextTable::num(s.es.min) : "-")
                 << " | "
-                << (s.hasSeries
-                        ? report::TextTable::num(s.esMax) : "-")
+                << (s.es.buckets > 0
+                        ? report::TextTable::num(s.es.max) : "-")
                 << " | "
-                << (s.hasSeries
-                        ? report::TextTable::num(s.esP99) : "-")
+                << (s.es.buckets > 0
+                        ? report::TextTable::num(s.es.p99) : "-")
                 << " | " << s.decisions << " | " << s.spans
                 << " | " << s.faults << " | " << s.alertRaises
                 << "/" << s.alertClears << " | "
@@ -368,8 +327,7 @@ emitMarkdown(std::ostream &out,
             << "|---|---|---|---|---|---|---|---|\n";
         for (const ExperimentEntry &e : experiments) {
             out << "| " << e.file << " | "
-                << (e.scenario.empty() ? "(untagged)"
-                                       : e.scenario)
+                << scenarioLabel(e.scenario)
                 << " | " << e.verdict << " | "
                 << report::TextTable::num(e.esMixedEst) << " ["
                 << report::TextTable::num(e.esMixedLo) << ", "
@@ -430,35 +388,28 @@ runReport(const std::vector<std::string> &args, std::ostream &out,
     std::string format = "json";
     std::string outPath;
     std::vector<std::string> inputs;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &a = args[i];
-        if (a == "--format" || a.rfind("--format=", 0) == 0) {
+    try {
+        FlagScanner s(args);
+        while (s.next()) {
+            const std::string &a = s.name();
             if (a == "--format") {
-                if (i + 1 >= args.size()) {
-                    err << "error: --format needs a value\n";
-                    return 2;
+                format = s.value();
+                if (format != "json" && format != "md") {
+                    throw std::invalid_argument(
+                        "--format must be json or md (got " + format +
+                        ")");
                 }
-                format = args[++i];
+            } else if (a == "-o" || a == "--output") {
+                outPath = s.value();
+            } else if (s.isFlag()) {
+                throw std::invalid_argument("unknown option: " + a);
             } else {
-                format = a.substr(std::string("--format=").size());
+                inputs.push_back(a);
             }
-            if (format != "json" && format != "md") {
-                err << "error: --format must be json or md (got "
-                    << format << ")\n";
-                return 2;
-            }
-        } else if (a == "-o" || a == "--output") {
-            if (i + 1 >= args.size()) {
-                err << "error: " << a << " needs a value\n";
-                return 2;
-            }
-            outPath = args[++i];
-        } else if (!a.empty() && a[0] == '-') {
-            err << "error: unknown option: " << a << "\n";
-            return 2;
-        } else {
-            inputs.push_back(a);
         }
+    } catch (const std::exception &e) {
+        err << "error: " << e.what() << "\n";
+        return 2;
     }
     if (inputs.empty()) {
         err << "usage: ahq report [--format=json|md] [-o FILE] "
@@ -469,12 +420,9 @@ runReport(const std::vector<std::string> &args, std::ostream &out,
     std::vector<RunSummary> runs;
     std::vector<BenchEntry> bench;
     std::vector<ExperimentEntry> experiments;
-    try {
-        for (const auto &path : inputs)
-            scanInput(path, runs, bench, experiments);
-    } catch (const std::exception &e) {
-        err << "error: " << e.what() << "\n";
-        return 1;
+    for (const auto &path : inputs) {
+        if (!scanInput(path, err, runs, bench, experiments))
+            return 1;
     }
 
     std::ofstream file;
@@ -502,45 +450,33 @@ runBenchDiff(const std::vector<std::string> &args,
     double threshold = 0.10;
     std::string baseline;
     std::vector<std::string> files;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &a = args[i];
-        std::string value;
-        if (a == "--baseline") {
-            if (i + 1 >= args.size()) {
-                err << "error: --baseline needs a value\n";
-                return 2;
+    try {
+        FlagScanner s(args);
+        while (s.next()) {
+            const std::string &a = s.name();
+            if (a == "--baseline") {
+                baseline = s.value();
+            } else if (a == "--threshold") {
+                const std::string value = s.value();
+                try {
+                    threshold = std::stod(value);
+                } catch (const std::exception &) {
+                    threshold = -1.0;
+                }
+                if (threshold <= 0.0 || threshold >= 1.0) {
+                    throw std::invalid_argument(
+                        "--threshold must be a fraction in (0, 1), "
+                        "got '" + value + "'");
+                }
+            } else if (s.isFlag()) {
+                throw std::invalid_argument("unknown option: " + a);
+            } else {
+                files.push_back(a);
             }
-            baseline = args[++i];
-            continue;
-        } else if (a.rfind("--baseline=", 0) == 0) {
-            baseline = a.substr(std::string("--baseline=").size());
-            continue;
-        } else if (a == "--threshold") {
-            if (i + 1 >= args.size()) {
-                err << "error: --threshold needs a value\n";
-                return 2;
-            }
-            value = args[++i];
-        } else if (a.rfind("--threshold=", 0) == 0) {
-            value = a.substr(std::string("--threshold=").size());
-        } else if (!a.empty() && a[0] == '-') {
-            err << "error: unknown option: " << a << "\n";
-            return 2;
-        } else {
-            files.push_back(a);
-            continue;
         }
-        try {
-            threshold = std::stod(value);
-        } catch (const std::exception &) {
-            threshold = -1.0;
-        }
-        if (threshold <= 0.0 || threshold >= 1.0) {
-            err << "error: --threshold must be a fraction in "
-                   "(0, 1), got '"
-                << value << "'\n";
-            return 2;
-        }
+    } catch (const std::exception &e) {
+        err << "error: " << e.what() << "\n";
+        return 2;
     }
     // Either the classic two-positional form, or --baseline plus
     // one positional (the fresh run) — the CI shape, where the

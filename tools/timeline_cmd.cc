@@ -10,9 +10,9 @@
  */
 
 #include "cli.hh"
+#include "front_end.hh"
 
 #include <algorithm>
-#include <cstdint>
 #include <map>
 #include <set>
 #include <sstream>
@@ -20,7 +20,6 @@
 
 #include "obs/json.hh"
 #include "obs/scope.hh"
-#include "obs/trace_reader.hh"
 #include "report/table.hh"
 
 namespace ahq::cli
@@ -56,77 +55,6 @@ struct Markers
             violations.empty();
     }
 };
-
-struct TimelineOptions
-{
-    std::string path;
-    std::string scenario;                // empty = all
-    std::vector<std::string> series;     // empty = all
-    std::string format = "text";         // text | csv | json
-    int width = 64;
-};
-
-TimelineOptions
-parseTimelineArgs(const std::vector<std::string> &args)
-{
-    TimelineOptions opt;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        std::string a = args[i];
-        std::string inline_value;
-        bool has_inline = false;
-        if (a.rfind("--", 0) == 0) {
-            const auto eq = a.find('=');
-            if (eq != std::string::npos) {
-                inline_value = a.substr(eq + 1);
-                a = a.substr(0, eq);
-                has_inline = true;
-            }
-        }
-        auto next = [&](const char *flag) -> std::string {
-            if (has_inline)
-                return inline_value;
-            if (i + 1 >= args.size()) {
-                throw std::invalid_argument(
-                    std::string(flag) + " needs a value");
-            }
-            return args[++i];
-        };
-        if (a == "--scenario") {
-            opt.scenario = next("--scenario");
-        } else if (a == "--series") {
-            std::stringstream ss(next("--series"));
-            std::string name;
-            while (std::getline(ss, name, ','))
-                if (!name.empty())
-                    opt.series.push_back(name);
-        } else if (a == "--format") {
-            opt.format = next("--format");
-            if (opt.format != "text" && opt.format != "csv" &&
-                opt.format != "json") {
-                throw std::invalid_argument(
-                    "--format must be text, csv or json (got " +
-                    opt.format + ")");
-            }
-        } else if (a == "--width") {
-            opt.width = static_cast<int>(
-                std::stoll(next("--width")));
-            if (opt.width < 8 || opt.width > 4096) {
-                throw std::invalid_argument(
-                    "--width must be within [8, 4096]");
-            }
-        } else if (!a.empty() && a[0] == '-') {
-            throw std::invalid_argument("unknown option: " + a);
-        } else if (opt.path.empty()) {
-            opt.path = a;
-        } else {
-            throw std::invalid_argument(
-                "unexpected argument: " + a);
-        }
-    }
-    if (opt.path.empty())
-        throw std::invalid_argument("no trace file given");
-    return opt;
-}
 
 /**
  * Pairwise-fold the bucket arrays in place until at most `width`
@@ -167,60 +95,6 @@ foldToWidth(SeriesData &d, int width)
         stride *= 2;
     }
     return stride;
-}
-
-/** Count-weighted summary over the (unfolded) buckets. */
-struct Summary
-{
-    double min = 0.0, max = 0.0, mean = 0.0, p99 = 0.0;
-    std::uint64_t count = 0;
-};
-
-Summary
-summarize(const SeriesData &d)
-{
-    Summary s;
-    bool any = false;
-    double total_sum = 0.0;
-    std::uint64_t total_count = 0;
-    // (bucket max, bucket count): the p99 below is the
-    // count-weighted 99th percentile of per-bucket maxima — an
-    // upper estimate that survives downsampling, since folding
-    // preserves maxima exactly.
-    std::vector<std::pair<double, std::uint64_t>> maxima;
-    for (std::size_t i = 0; i < d.buckets(); ++i) {
-        if (d.n[i] <= 0)
-            continue;
-        const auto cnt = static_cast<std::uint64_t>(d.n[i]);
-        if (!any) {
-            s.min = d.min[i];
-            s.max = d.max[i];
-            any = true;
-        } else {
-            s.min = std::min(s.min, d.min[i]);
-            s.max = std::max(s.max, d.max[i]);
-        }
-        total_sum += d.sum[i];
-        total_count += cnt;
-        maxima.emplace_back(d.max[i], cnt);
-    }
-    if (!any)
-        return s;
-    s.count = total_count;
-    s.mean = total_sum / static_cast<double>(total_count);
-    std::sort(maxima.begin(), maxima.end());
-    const double target =
-        0.99 * static_cast<double>(total_count);
-    std::uint64_t seen = 0;
-    s.p99 = maxima.back().first;
-    for (const auto &[mx, cnt] : maxima) {
-        seen += cnt;
-        if (static_cast<double>(seen) >= target) {
-            s.p99 = mx;
-            break;
-        }
-    }
-    return s;
 }
 
 /** ASCII intensity ramp, low to high (space = empty bucket). */
@@ -273,104 +147,102 @@ int
 runTimeline(const std::vector<std::string> &args, std::ostream &out,
             std::ostream &err)
 {
-    TimelineOptions opt;
-    try {
-        opt = parseTimelineArgs(args);
-    } catch (const std::exception &e) {
-        err << "error: " << e.what() << "\n"
-            << "usage: ahq timeline [--series=a,b] "
-               "[--scenario=TAG] [--format=text|csv|json] "
-               "[--width=N] <file.jsonl>\n";
+    std::set<std::string> wanted; // --series; empty = all
+    int width = 64;
+    const auto opt = parseTraceArgs(
+        args, err,
+        "usage: ahq timeline [--series=a,b] [--scenario=TAG] "
+        "[--format=text|csv|json] [--width=N] <file.jsonl>",
+        /*with_app=*/false, [&](FlagScanner &s) {
+            if (s.name() == "--series") {
+                std::stringstream ss(s.value());
+                std::string name;
+                while (std::getline(ss, name, ','))
+                    if (!name.empty())
+                        wanted.insert(name);
+            } else if (s.name() == "--width") {
+                width = static_cast<int>(s.integer());
+                if (width < 8 || width > 4096) {
+                    throw std::invalid_argument(
+                        "--width must be within [8, 4096]");
+                }
+            } else {
+                return false;
+            }
+            return true;
+        });
+    if (!opt)
         return 2;
-    }
 
     // First (and only) pass: collect series events and fault-family
     // markers, everything aggregated before anything is printed.
     std::map<std::pair<std::string, std::string>, SeriesData> data;
     std::map<std::string, Markers> markers;
-    const std::set<std::string> wanted(opt.series.begin(),
-                                       opt.series.end());
     obs::TraceReadStats stats;
-    try {
-        obs::forEachTraceFile(
-            opt.path,
-            [&](const obs::TraceEvent &ev, int) {
-                const int v =
-                    static_cast<int>(ev.num("v", -1.0));
-                if (v != obs::kSchemaVersion) {
-                    throw std::runtime_error(
-                        "unsupported schema version " +
-                        std::to_string(v) +
-                        " (this build reads v" +
-                        std::to_string(obs::kSchemaVersion) + ")");
-                }
-                const std::string scenario = ev.str("scenario");
-                if (!opt.scenario.empty() &&
-                    scenario != opt.scenario)
+    const bool read = foldTrace(
+        opt->path, err,
+        [&](const obs::TraceEvent &ev, int) {
+            if (!opt->matches(ev))
+                return;
+            const std::string scenario = ev.str("scenario");
+            const std::string type = ev.type();
+            if (type == "series") {
+                const std::string name = ev.str("series");
+                if (!wanted.empty() &&
+                    wanted.find(name) == wanted.end())
                     return;
-                const std::string type = ev.type();
-                if (type == "series") {
-                    const std::string name = ev.str("series");
-                    if (!wanted.empty() &&
-                        wanted.find(name) == wanted.end())
-                        return;
-                    SeriesData d;
-                    d.stride = static_cast<long long>(
-                        ev.num("stride", 1.0));
-                    d.epochs = static_cast<long long>(
-                        ev.num("epochs"));
-                    d.capacity = static_cast<long long>(
-                        ev.num("capacity"));
-                    d.points = static_cast<long long>(
-                        ev.num("points"));
-                    d.n = ev.nums("n");
-                    d.min = ev.nums("min");
-                    d.max = ev.nums("max");
-                    d.sum = ev.nums("sum");
-                    if (d.stride < 1)
-                        d.stride = 1;
-                    // Tolerate short arrays (foreign writers):
-                    // clip to the common length.
-                    const std::size_t len = std::min(
-                        {d.n.size(), d.min.size(), d.max.size(),
-                         d.sum.size()});
-                    d.n.resize(len);
-                    d.min.resize(len);
-                    d.max.resize(len);
-                    d.sum.resize(len);
-                    data[{scenario, name}] = std::move(d);
-                } else if (type == "fault" ||
-                           type == "recovery" ||
-                           type == "violation" ||
-                           type == "alert_raise") {
-                    const int epoch = static_cast<int>(
-                        ev.num("epoch", -1.0));
-                    if (epoch < 0)
-                        return;
-                    auto &m = markers[scenario];
-                    if (type == "fault")
-                        m.faults.insert(epoch);
-                    else if (type == "recovery")
-                        m.recoveries.insert(epoch);
-                    else if (type == "alert_raise")
-                        m.alerts.insert(epoch);
-                    else
-                        m.violations.insert(epoch);
-                }
-            },
-            &stats);
-    } catch (const std::exception &e) {
-        err << "error: " << e.what() << "\n";
+                SeriesData d;
+                d.stride = static_cast<long long>(
+                    ev.num("stride", 1.0));
+                d.epochs = static_cast<long long>(ev.num("epochs"));
+                d.capacity =
+                    static_cast<long long>(ev.num("capacity"));
+                d.points = static_cast<long long>(ev.num("points"));
+                d.n = ev.nums("n");
+                d.min = ev.nums("min");
+                d.max = ev.nums("max");
+                d.sum = ev.nums("sum");
+                if (d.stride < 1)
+                    d.stride = 1;
+                // Tolerate short arrays (foreign writers): clip to
+                // the common length.
+                const std::size_t len =
+                    std::min({d.n.size(), d.min.size(),
+                              d.max.size(), d.sum.size()});
+                d.n.resize(len);
+                d.min.resize(len);
+                d.max.resize(len);
+                d.sum.resize(len);
+                data[{scenario, name}] = std::move(d);
+            } else if (type == "fault" || type == "recovery" ||
+                       type == "violation" ||
+                       type == "alert_raise") {
+                const int epoch =
+                    static_cast<int>(ev.num("epoch", -1.0));
+                if (epoch < 0)
+                    return;
+                auto &m = markers[scenario];
+                if (type == "fault")
+                    m.faults.insert(epoch);
+                else if (type == "recovery")
+                    m.recoveries.insert(epoch);
+                else if (type == "alert_raise")
+                    m.alerts.insert(epoch);
+                else
+                    m.violations.insert(epoch);
+            }
+        },
+        &stats);
+    if (!read)
         return 1;
-    }
     if (data.empty()) {
-        err << "error: " << opt.path
+        err << "error: " << opt->path
             << ": no matching series events (produce them with "
                "--trace; series land at the end of the trace)\n";
         return 1;
     }
 
-    if (opt.format == "csv") {
+    if (opt->format == "csv") {
         out << "scenario,series,bucket,epoch_lo,stride,count,min,"
                "max,mean\n";
         for (const auto &[key, d] : data) {
@@ -402,7 +274,7 @@ runTimeline(const std::vector<std::string> &args, std::ostream &out,
         return 0;
     }
 
-    if (opt.format == "json") {
+    if (opt->format == "json") {
         std::string buf;
         buf += "{\"v\":1,\"series\":[";
         bool first = true;
@@ -474,15 +346,16 @@ runTimeline(const std::vector<std::string> &args, std::ostream &out,
     // Text mode: aligned sparklines, one block per
     // (scenario, series), sorted — deterministic whatever order
     // the events appeared in.
-    out << opt.path << ": " << data.size() << " series (schema v"
+    out << opt->path << ": " << data.size() << " series (schema v"
         << obs::kSchemaVersion << ")\n";
     for (const auto &[key, original] : data) {
-        const Summary s = summarize(original);
+        const SeriesSummary s = summarizeSeries(
+            original.n, original.min, original.max, original.sum);
         SeriesData d = original;
-        const long long display_stride = foldToWidth(d, opt.width);
+        const long long display_stride = foldToWidth(d, width);
 
         out << "\n"
-            << (key.first.empty() ? "(untagged)" : key.first)
+            << scenarioLabel(key.first)
             << " :: " << key.second << "  (epochs=" << d.epochs
             << ", stride=" << original.stride
             << ", points=" << original.points << ")\n";

@@ -7,14 +7,12 @@
  */
 
 #include "cli.hh"
+#include "front_end.hh"
 
 #include <algorithm>
 #include <map>
-#include <set>
-#include <stdexcept>
 
 #include "obs/scope.hh"
-#include "obs/trace_reader.hh"
 #include "report/ascii_chart.hh"
 #include "report/table.hh"
 
@@ -91,19 +89,10 @@ runTrace(const std::vector<std::string> &args, std::ostream &out,
 
     std::size_t num_events = 0;
     obs::TraceReadStats stats;
-    try {
-        obs::forEachTraceFile(args[0], [&](
-                                           const obs::TraceEvent
-                                               &ev,
-                                           int) {
+    const bool read = foldTrace(
+        args[0], err,
+        [&](const obs::TraceEvent &ev, int) {
             ++num_events;
-            const int v = static_cast<int>(ev.num("v", -1.0));
-            if (v != obs::kSchemaVersion) {
-                throw std::runtime_error(
-                    "unsupported schema version " +
-                    std::to_string(v) + " (this build reads v" +
-                    std::to_string(obs::kSchemaVersion) + ")");
-            }
             const std::string type = ev.type();
             if (type == "run_start") {
                 summary(ev).scheduler = ev.str("scheduler");
@@ -158,11 +147,10 @@ runTrace(const std::vector<std::string> &args, std::ostream &out,
             } else if (type == "series") {
                 ++summary(ev).series;
             }
-        }, &stats);
-    } catch (const std::exception &e) {
-        err << "error: " << e.what() << "\n";
+        },
+        &stats);
+    if (!read)
         return 1;
-    }
     if (num_events == 0) {
         err << "error: " << args[0] << ": empty trace\n";
         return 1;
@@ -191,7 +179,7 @@ runTrace(const std::vector<std::string> &args, std::ostream &out,
                          "rollbacks", "bans"});
     for (const auto &tag : order) {
         const auto &s = scenarios[tag];
-        t.addRow({tag.empty() ? "(untagged)" : tag,
+        t.addRow({scenarioLabel(tag),
                   s.scheduler.empty() ? "-" : s.scheduler,
                   std::to_string(s.epochs),
                   s.epochs > 0 ?
@@ -218,7 +206,7 @@ runTrace(const std::vector<std::string> &args, std::ostream &out,
                               "violations", "spans", "series"});
         for (const auto &tag : order) {
             const auto &s = scenarios[tag];
-            tt.addRow({tag.empty() ? "(untagged)" : tag,
+            tt.addRow({scenarioLabel(tag),
                        std::to_string(s.faults),
                        std::to_string(s.recoveries),
                        std::to_string(s.violations),
@@ -254,7 +242,7 @@ runTrace(const std::vector<std::string> &args, std::ostream &out,
         for (const auto &tag : order) {
             const auto &s = scenarios[tag];
             for (const auto &[app, r] : s.retByApp) {
-                rt.addRow({tag.empty() ? "(untagged)" : tag,
+                rt.addRow({scenarioLabel(tag),
                            "app" + std::to_string(app),
                            report::TextTable::num(
                                r.sumRet / r.samples),

@@ -11,162 +11,67 @@
  */
 
 #include "cli.hh"
+#include "front_end.hh"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "obs/attribution.hh"
 #include "obs/json.hh"
 #include "obs/scope.hh"
-#include "obs/trace_reader.hh"
 #include "report/table.hh"
 
 namespace ahq::cli
 {
 
-namespace
-{
-
-struct WhyOptions
-{
-    std::string path;
-    std::string scenario; // empty = all
-    std::string app;      // victim filter; empty = all
-    std::size_t top = 0;  // 0 = every row
-    std::string format = "text"; // text | csv | json
-};
-
-WhyOptions
-parseWhyArgs(const std::vector<std::string> &args)
-{
-    WhyOptions opt;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        std::string a = args[i];
-        std::string inline_value;
-        bool has_inline = false;
-        if (a.rfind("--", 0) == 0) {
-            const auto eq = a.find('=');
-            if (eq != std::string::npos) {
-                inline_value = a.substr(eq + 1);
-                a = a.substr(0, eq);
-                has_inline = true;
-            }
-        }
-        auto next = [&](const char *flag) -> std::string {
-            if (has_inline)
-                return inline_value;
-            if (i + 1 >= args.size()) {
-                throw std::invalid_argument(
-                    std::string(flag) + " needs a value");
-            }
-            return args[++i];
-        };
-        if (a == "--scenario") {
-            opt.scenario = next("--scenario");
-        } else if (a == "--app") {
-            opt.app = next("--app");
-        } else if (a == "--top") {
-            const long long v = std::stoll(next("--top"));
-            if (v < 1) {
-                throw std::invalid_argument(
-                    "--top must be >= 1");
-            }
-            opt.top = static_cast<std::size_t>(v);
-        } else if (a == "--format") {
-            opt.format = next("--format");
-            if (opt.format != "text" && opt.format != "csv" &&
-                opt.format != "json") {
-                throw std::invalid_argument(
-                    "--format must be text, csv or json (got " +
-                    opt.format + ")");
-            }
-        } else if (!a.empty() && a[0] == '-') {
-            throw std::invalid_argument("unknown option: " + a);
-        } else if (opt.path.empty()) {
-            opt.path = a;
-        } else {
-            throw std::invalid_argument(
-                "unexpected argument: " + a);
-        }
-    }
-    if (opt.path.empty())
-        throw std::invalid_argument("no trace file given");
-    return opt;
-}
-
-} // namespace
-
 int
 runWhy(const std::vector<std::string> &args, std::ostream &out,
        std::ostream &err)
 {
-    WhyOptions opt;
-    try {
-        opt = parseWhyArgs(args);
-    } catch (const std::exception &e) {
-        err << "error: " << e.what() << "\n"
-            << "usage: ahq why [--scenario=TAG] [--app=NAME] "
-               "[--top=N] [--format=text|csv|json] "
-               "<file.jsonl>\n";
+    std::size_t top = 0; // 0 = every row
+    const auto opt = parseTraceArgs(
+        args, err,
+        "usage: ahq why [--scenario=TAG] [--app=NAME] [--top=N] "
+        "[--format=text|csv|json] <file.jsonl>",
+        /*with_app=*/true, [&](FlagScanner &s) {
+            if (s.name() != "--top")
+                return false;
+            top = static_cast<std::size_t>(s.integer(1));
+            return true;
+        });
+    if (!opt)
         return 2;
-    }
 
     // Everything aggregates before anything prints, so a malformed
     // line never leaves partial output.
     obs::AttributionLedger ledger;
     long long events = 0;
-    try {
-        obs::forEachTraceFile(
-            opt.path, [&](const obs::TraceEvent &ev, int) {
-                const int v =
-                    static_cast<int>(ev.num("v", -1.0));
-                if (v != obs::kSchemaVersion) {
-                    throw std::runtime_error(
-                        "unsupported schema version " +
-                        std::to_string(v) +
-                        " (this build reads v" +
-                        std::to_string(obs::kSchemaVersion) + ")");
-                }
-                if (ev.type() != "attribution")
-                    return;
-                if (!opt.scenario.empty() &&
-                    ev.str("scenario") != opt.scenario)
-                    return;
-                const std::string victim = ev.str("app");
-                if (!opt.app.empty() && victim != opt.app)
-                    return;
-                const auto culprits = ev.strs("culprits");
-                const auto resources = ev.strs("resources");
-                const auto shares = ev.nums("shares");
-                const std::size_t len =
-                    std::min({culprits.size(), resources.size(),
-                              shares.size()});
-                for (std::size_t i = 0; i < len; ++i)
-                    ledger.add(victim, culprits[i], resources[i],
-                               shares[i]);
-                ++events;
-            });
-    } catch (const std::exception &e) {
-        err << "error: " << e.what() << "\n";
+    const bool read = foldTrace(
+        opt->path, err, [&](const obs::TraceEvent &ev, int) {
+            if (ev.type() != "attribution" || !opt->matches(ev))
+                return;
+            const std::string victim = ev.str("app");
+            const auto culprits = ev.strs("culprits");
+            const auto resources = ev.strs("resources");
+            const auto shares = ev.nums("shares");
+            const std::size_t len = std::min(
+                {culprits.size(), resources.size(), shares.size()});
+            for (std::size_t i = 0; i < len; ++i)
+                ledger.add(victim, culprits[i], resources[i],
+                           shares[i]);
+            ++events;
+        });
+    if (!read)
         return 1;
-    }
     if (events == 0) {
-        err << "error: " << opt.path
+        err << "error: " << opt->path
             << ": no matching attribution events (produce them "
                "with --trace --attribute)\n";
         return 1;
     }
 
-    auto rows = ledger.rows();
-    std::stable_sort(rows.begin(), rows.end(),
-                     [](const obs::AttributionRow &a,
-                        const obs::AttributionRow &b) {
-                         return a.share > b.share;
-                     });
-    if (opt.top > 0 && rows.size() > opt.top)
-        rows.resize(opt.top);
+    const auto rows = blameRows(ledger, top);
 
-    if (opt.format == "csv") {
+    if (opt->format == "csv") {
         out << "victim,culprit,resource,share,epochs\n";
         for (const auto &r : rows) {
             std::string line = r.victim + "," + r.culprit + "," +
@@ -177,7 +82,7 @@ runWhy(const std::vector<std::string> &args, std::ostream &out,
         return 0;
     }
 
-    if (opt.format == "json") {
+    if (opt->format == "json") {
         std::string b;
         b += "{\"v\":1,\"tool\":\"ahq why\",\"rows\":[";
         for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -200,10 +105,10 @@ runWhy(const std::vector<std::string> &args, std::ostream &out,
         return 0;
     }
 
-    out << opt.path << ": " << events
+    out << opt->path << ": " << events
         << " attribution event(s) (schema v" << obs::kSchemaVersion
         << ")\n";
-    printBlameTable(out, ledger, opt.top);
+    printBlameTable(out, ledger, top);
     // Per-victim totals: each victim's row sums its per-epoch R_i
     // over the attributed epochs — the conservation the ledger
     // carries by construction.
