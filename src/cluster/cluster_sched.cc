@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "apps/catalog.hh"
+#include "cluster/fan_out.hh"
 #include "exec/jobs.hh"
 #include "exec/parallel.hh"
 #include "sched/registry.hh"
@@ -66,22 +67,14 @@ ClusterScheduler::run(const SimulationConfig &base,
     // Short, unaudited, untraced trial runs drive every migration
     // decision; one fixed seed keeps candidates comparable and the
     // whole search deterministic per (nodes, config, seed).
-    SimulationConfig trial = base;
-    trial.obs = {};
-    trial.checkMode = check::Mode::Off;
-    trial.faults = nullptr;
-    trial.durationSeconds = cfg.trialSeconds;
-    trial.warmupEpochs = cfg.trialWarmupEpochs;
-    trial.keepEpochs = false;
-
+    const SimulationConfig trial = trialConfig(
+        base, cfg.trialSeconds, cfg.trialWarmupEpochs);
+    const auto make_sched = [&] {
+        return sched::makeScheduler(strategy_);
+    };
     auto node_es = [&](std::size_t n,
                        const std::vector<ColocatedApp> &set) {
-        if (set.empty())
-            return 0.0;
-        Node node(configs_[n], set);
-        EpochSimulator sim(node, trial);
-        const auto sched = sched::makeScheduler(strategy_);
-        return sim.run(*sched).meanES;
+        return trialEntropy(configs_[n], set, trial, make_sched);
     };
 
     // Per-node mean E_S estimate: measured each round, patched
@@ -106,40 +99,35 @@ ClusterScheduler::run(const SimulationConfig &base,
     for (std::size_t n = 0; n < nn; ++n)
         last_moved[n].assign(apps_[n].size(), kNeverMoved);
 
+    SimulationConfig round_cfg = base;
+    round_cfg.durationSeconds = cfg.roundEpochs * base.epochSeconds;
+    round_cfg.warmupEpochs = cfg.roundWarmupEpochs;
+    round_cfg.keepEpochs = false;
+
     FleetAccumulator pooled;
     for (int r = 0; r < cfg.rounds; ++r) {
         // ---- measurement round: every node in parallel ----------
-        std::vector<obs::BufferTraceSink> buffers(tracing ? nn : 0);
         std::vector<SimulationResult> results(nn);
         std::vector<FleetAccumulator> accums(nn);
-        exec::parallelFor(p, nn, [&](std::size_t n) {
-            SimulationConfig per_node = base;
-            per_node.durationSeconds =
-                cfg.roundEpochs * base.epochSeconds;
-            per_node.warmupEpochs = cfg.roundWarmupEpochs;
-            per_node.keepEpochs = false;
-            per_node.seed = base.seed + 0x9e37 * (n + 1) +
-                kRoundSeedSalt * static_cast<std::uint64_t>(r + 1);
-            if (tracing || scope.series != nullptr) {
-                per_node.obs = scope.tagged(
-                    (scope.scenario.empty()
-                         ? ""
-                         : scope.scenario + "/") +
-                    "round" + std::to_string(r) + "/node" +
-                    std::to_string(n));
-                if (tracing)
-                    per_node.obs.sink = &buffers[n];
-            }
-            Node node(configs_[n], apps_[n]);
-            EpochSimulator sim(node, per_node);
-            const auto sched = sched::makeScheduler(strategy_);
-            results[n] = sim.run(*sched);
-            accums[n].add(node, results[n]);
-        });
-        if (tracing) {
-            for (std::size_t n = 0; n < nn; ++n)
-                buffers[n].flushTo(*scope.sink);
-        }
+        const auto buffers = tracedParallelFor(
+            p, nn, scope,
+            [r](std::size_t n) {
+                return "round" + std::to_string(r) + "/node" +
+                    std::to_string(n);
+            },
+            [&](std::size_t n, const obs::Scope &node_scope) {
+                SimulationConfig c = round_cfg;
+                c.seed = nodeSeed(
+                    base.seed, n,
+                    kRoundSeedSalt * static_cast<std::uint64_t>(r + 1));
+                c.obs = node_scope;
+                Node node(configs_[n], apps_[n]);
+                results[n] = EpochSimulator(node, c).run(
+                    *make_sched());
+                accums[n].add(node, results[n]);
+            });
+        for (const auto &buf : buffers)
+            buf.flushTo(*scope.sink);
         // Cold windows are consumed by the round that just ran
         // (roundEpochs >= the window): every app is warm again
         // until the next migration marks one cold.

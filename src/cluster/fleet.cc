@@ -10,6 +10,7 @@
 #include <cmath>
 #include <limits>
 
+#include "cluster/fan_out.hh"
 #include "exec/jobs.hh"
 #include "exec/parallel.hh"
 #include "obs/span.hh"
@@ -68,47 +69,6 @@ core::EntropyReport
 FleetAccumulator::entropy(double ri) const
 {
     return core::computeEntropy(lc, be, ri);
-}
-
-void
-Fleet::runEntries(std::vector<Entry> &entries,
-                  const SimulationConfig &config,
-                  const obs::Scope &scope, bool tracing,
-                  std::uint64_t seed_salt, const char *tag_suffix,
-                  const std::vector<int> *ids,
-                  std::vector<obs::BufferTraceSink> &buffers,
-                  std::vector<SimulationResult> &out,
-                  std::vector<FleetAccumulator> &accums,
-                  exec::ThreadPool &p)
-{
-    out.resize(entries.size());
-    accums.assign(entries.size(), {});
-    // Each task touches only its own node entry (its scheduler
-    // instance included), buffer, result and accumulator slot.
-    exec::parallelFor(p, entries.size(), [&](std::size_t n) {
-        const std::size_t id = ids != nullptr
-            ? static_cast<std::size_t>((*ids)[n])
-            : n;
-        SimulationConfig per_node = config;
-        per_node.seed = config.seed + 0x9e37 * (id + 1) + seed_salt;
-        // A per-node scenario tag is needed when tracing (events
-        // must say which node they came from) and also when a
-        // time-series registry is attached: per-(series, node) keys
-        // are what keep concurrent node recordings disjoint.
-        if (tracing || scope.series != nullptr) {
-            per_node.obs = scope.tagged(
-                (scope.scenario.empty()
-                     ? "node" + std::to_string(id)
-                     : scope.scenario + "/node" +
-                           std::to_string(id)) +
-                tag_suffix);
-            if (tracing)
-                per_node.obs.sink = &buffers[n];
-        }
-        EpochSimulator sim(entries[n].node, per_node);
-        out[n] = sim.run(*entries[n].scheduler);
-        accums[n].add(entries[n].node, out[n]);
-    });
 }
 
 Fleet::FleetResult
@@ -170,14 +130,23 @@ Fleet::run(const SimulationConfig &config, exec::ThreadPool *pool)
             }
         }
     }
-    // While tracing, each node's run writes into a private buffer;
-    // the buffers flush in node order below, keeping fleet traces
-    // byte-identical at any thread count.
-    std::vector<obs::BufferTraceSink> buffers(
-        tracing ? nodes_.size() : 0);
-    std::vector<FleetAccumulator> accums;
-    runEntries(nodes_, cfg_a, scope, tracing, 0, "", nullptr,
-               buffers, out.nodes, accums, p);
+    // Each worker also folds its node's steady-state observations
+    // into its own accumulator slot — the streaming half of the
+    // aggregation; the slots merge in node order below. The trace
+    // buffers flush in node order too, between fleet_node events.
+    out.nodes.resize(nodes_.size());
+    std::vector<FleetAccumulator> accums(nodes_.size());
+    const auto buffers = tracedParallelFor(
+        p, nodes_.size(), scope,
+        [](std::size_t n) { return "node" + std::to_string(n); },
+        [&](std::size_t n, const obs::Scope &node_scope) {
+            SimulationConfig c = cfg_a;
+            c.seed = nodeSeed(config.seed, n);
+            c.obs = node_scope;
+            out.nodes[n] = EpochSimulator(nodes_[n].node, c)
+                               .run(*nodes_[n].scheduler);
+            accums[n].add(nodes_[n].node, out.nodes[n]);
+        });
 
     // ---- phase B: survivors finish the run with the refugees -----
     Recovery rec;
@@ -278,13 +247,8 @@ Fleet::recover(const SimulationConfig &config, int crash_epoch,
 
     // Short, unfaulted, unaudited trial runs drive the placement;
     // the advisor itself is deterministic per (apps, config).
-    SimulationConfig trial = config;
-    trial.obs = {};
-    trial.checkMode = check::Mode::Off;
-    trial.faults = nullptr;
-    trial.durationSeconds = 8.0 * config.epochSeconds;
-    trial.warmupEpochs = 2;
-    trial.keepEpochs = false;
+    const SimulationConfig trial =
+        trialConfig(config, 8.0 * config.epochSeconds, 2);
 
     const auto &first =
         nodes_[static_cast<std::size_t>(rec.survivors.front())];
@@ -329,12 +293,27 @@ Fleet::recover(const SimulationConfig &config, int crash_epoch,
     cfg_b.durationSeconds = config.durationSeconds - ta;
     cfg_b.warmupEpochs =
         std::max(0, config.warmupEpochs - crash_epoch);
-    rec.buffers = std::vector<obs::BufferTraceSink>(
-        tracing ? rec.entries.size() : 0);
-    std::vector<SimulationResult> res_b;
-    runEntries(rec.entries, cfg_b, scope, tracing, kRecoverySeedSalt,
-               "/recovered", &rec.survivors, rec.buffers, res_b,
-               rec.accums, p);
+    // Survivor s keeps node id survivors[s] for its tag and seed;
+    // the salt decorrelates its phase B stream from phase A.
+    std::vector<SimulationResult> res_b(rec.entries.size());
+    rec.accums.assign(rec.entries.size(), {});
+    rec.buffers = tracedParallelFor(
+        p, rec.entries.size(), scope,
+        [&](std::size_t s) {
+            return "node" + std::to_string(rec.survivors[s]) +
+                "/recovered";
+        },
+        [&](std::size_t s, const obs::Scope &node_scope) {
+            SimulationConfig c = cfg_b;
+            c.seed = nodeSeed(
+                config.seed,
+                static_cast<std::size_t>(rec.survivors[s]),
+                kRecoverySeedSalt);
+            c.obs = node_scope;
+            res_b[s] = EpochSimulator(rec.entries[s].node, c)
+                           .run(*rec.entries[s].scheduler);
+            rec.accums[s].add(rec.entries[s].node, res_b[s]);
+        });
 
     // Crashed slots keep their phase A segment; survivors report
     // the recovered segment they finished with — but their QoS
@@ -351,6 +330,31 @@ Fleet::recover(const SimulationConfig &config, int crash_epoch,
         slot.slo.merge(before.slo);
     }
     return rec;
+}
+
+SimulationConfig
+trialConfig(const SimulationConfig &base, double seconds,
+            int warmup_epochs)
+{
+    SimulationConfig trial = base;
+    trial.obs = {};
+    trial.checkMode = check::Mode::Off;
+    trial.faults = nullptr;
+    trial.durationSeconds = seconds;
+    trial.warmupEpochs = warmup_epochs;
+    trial.keepEpochs = false;
+    return trial;
+}
+
+double
+trialEntropy(
+    const machine::MachineConfig &machine,
+    const std::vector<ColocatedApp> &apps, const SimulationConfig &trial,
+    const std::function<std::unique_ptr<sched::Scheduler>()> &make)
+{
+    if (apps.empty())
+        return 0.0;
+    return EpochSimulator(Node(machine, apps), trial).run(*make()).meanES;
 }
 
 PlacementAdvisor::PlacementAdvisor(
@@ -399,15 +403,6 @@ PlacementAdvisor::place(
     placement.nodeEntropy.assign(
         static_cast<std::size_t>(numNodes_), 0.0);
 
-    auto node_entropy = [&](const std::vector<ColocatedApp> &set) {
-        if (set.empty())
-            return 0.0;
-        Node node(nodeConfig, set);
-        EpochSimulator sim(node, trial_config);
-        const auto sched = makeScheduler();
-        return sim.run(*sched).meanES;
-    };
-
     exec::ThreadPool &p = pool ? *pool : exec::globalPool();
     std::vector<double> trial_es(
         static_cast<std::size_t>(numNodes_), 0.0);
@@ -420,7 +415,8 @@ PlacementAdvisor::place(
             [&](std::size_t n) {
                 auto trial = per_node[n];
                 trial.push_back(apps[oi]);
-                trial_es[n] = node_entropy(trial);
+                trial_es[n] = trialEntropy(nodeConfig, trial, trial_config,
+                                           makeScheduler);
             });
         int best_node = 0;
         double best_es = std::numeric_limits<double>::infinity();
@@ -443,7 +439,8 @@ PlacementAdvisor::place(
     // later apps joined them. Empty nodes report 0.
     exec::parallelFor(
         p, static_cast<std::size_t>(numNodes_), [&](std::size_t n) {
-            placement.nodeEntropy[n] = node_entropy(per_node[n]);
+            placement.nodeEntropy[n] = trialEntropy(
+                nodeConfig, per_node[n], trial_config, makeScheduler);
         });
 
     double sum = 0.0;

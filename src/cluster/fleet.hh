@@ -128,10 +128,11 @@ class Fleet
     /**
      * Simulate every node under the shared configuration and pool
      * the steady-state observations into one datacenter entropy.
-     * Per-node seeds are derived from config.seed so runs stay
-     * deterministic yet nodes see independent noise. Nodes run in
-     * parallel across the pool; results are bitwise identical at
-     * any thread count.
+     * Nodes fan out on the pool through tracedParallelFor
+     * (cluster/fan_out.hh): node n runs on nodeSeed(config.seed, n)
+     * under the "nodeN" child tag, and its private trace buffer is
+     * flushed in node order — results and trace bytes are bitwise
+     * identical at any thread count.
      *
      * When config.faults carries node_crash directives the run
      * splits in two phases at the (earliest) crash epoch: phase A
@@ -177,27 +178,25 @@ class Fleet
     Recovery recover(const SimulationConfig &config, int crash_epoch,
                      const std::vector<int> &crashed, FleetResult &out,
                      exec::ThreadPool &p);
-
-    /**
-     * Run one phase over a set of entries in parallel. `ids` maps
-     * entry index to the original node id for tags and seeds
-     * (nullptr = identity); `tag_suffix` distinguishes recovered
-     * segments; `seed_salt` decorrelates phase RNG streams. Each
-     * worker also folds its node's steady-state observations into
-     * its own accums slot — the streaming half of the aggregation;
-     * the caller merges the slots in node order.
-     */
-    static void runEntries(std::vector<Entry> &entries,
-                           const SimulationConfig &config,
-                           const obs::Scope &scope, bool tracing,
-                           std::uint64_t seed_salt,
-                           const char *tag_suffix,
-                           const std::vector<int> *ids,
-                           std::vector<obs::BufferTraceSink> &buffers,
-                           std::vector<SimulationResult> &out,
-                           std::vector<FleetAccumulator> &accums,
-                           exec::ThreadPool &p);
 };
+
+/**
+ * The settings of a short trial simulation, the one PlacementAdvisor
+ * and ClusterScheduler score candidate colocations with: `base` with
+ * telemetry, auditing, faults and kept epochs off, run for
+ * `seconds` with `warmup_epochs` of warmup.
+ */
+SimulationConfig trialConfig(const SimulationConfig &base,
+                             double seconds, int warmup_epochs);
+
+/**
+ * Mean E_S of a trial simulation of `apps` on one node under a fresh
+ * scheduler; 0 for an empty set (no scheduler is made).
+ */
+double trialEntropy(
+    const machine::MachineConfig &machine,
+    const std::vector<ColocatedApp> &apps, const SimulationConfig &trial,
+    const std::function<std::unique_ptr<sched::Scheduler>()> &make);
 
 /**
  * Greedy entropy-driven placement: assign applications to a fixed

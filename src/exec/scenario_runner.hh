@@ -13,14 +13,11 @@
 #ifndef AHQ_EXEC_SCENARIO_RUNNER_HH
 #define AHQ_EXEC_SCENARIO_RUNNER_HH
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/epoch_sim.hh"
 #include "obs/scope.hh"
-#include "sched/scheduler.hh"
 
 namespace ahq::exec
 {
@@ -36,7 +33,10 @@ struct ScenarioJob
     /** The colocation to simulate. */
     cluster::Node node;
 
-    /** Simulation settings, including the job's own seed. */
+    /**
+     * Simulation settings, including the job's own seed; the
+     * runner's scope replaces config.obs.
+     */
     cluster::SimulationConfig config;
 
     /**
@@ -53,24 +53,16 @@ struct ScenarioJob
 class ScenarioRunner
 {
   public:
-    /** Name -> fresh scheduler; must be callable concurrently. */
-    using SchedulerFactory =
-        std::function<std::unique_ptr<sched::Scheduler>(
-            const std::string &)>;
+    /** @param pool Pool to fan out on; nullptr = globalPool(). */
+    explicit ScenarioRunner(ThreadPool *pool = nullptr);
 
     /**
-     * @param pool Pool to fan out on; nullptr = globalPool().
-     * @param factory Strategy factory; default is the sched
-     *        registry (sched::makeScheduler).
-     */
-    explicit ScenarioRunner(ThreadPool *pool = nullptr,
-                            SchedulerFactory factory = {});
-
-    /**
-     * Attach telemetry for subsequent batches. While tracing, each
-     * job writes into a private buffer that is flushed to the real
-     * sink in job order after the batch, so the trace bytes are
-     * identical at any thread count.
+     * Attach telemetry for subsequent batches; this scope replaces
+     * every job's own config.obs. Each job runs under the child tag
+     * of its ScenarioJob::tag and, while tracing, writes into a
+     * private buffer that is flushed to the real sink in job order
+     * after the batch, so the trace bytes are identical at any
+     * thread count.
      */
     void setObsScope(obs::Scope scope) { obs_ = std::move(scope); }
 
@@ -80,13 +72,8 @@ class ScenarioRunner
 
   private:
     ThreadPool *pool_;
-    SchedulerFactory factory_;
     obs::Scope obs_;
 };
-
-/** Convenience: one batch on the global pool, registry factory. */
-std::vector<cluster::SimulationResult>
-runScenarios(const std::vector<ScenarioJob> &jobs);
 
 } // namespace ahq::exec
 

@@ -10,27 +10,15 @@
 #include <memory>
 #include <string>
 
+#include "cluster/fan_out.hh"
 #include "core/entropy.hh"
 #include "exec/jobs.hh"
-#include "exec/parallel.hh"
 #include "exec/thread_pool.hh"
 #include "obs/trace_sink.hh"
 #include "sched/registry.hh"
 
 namespace ahq::experiment
 {
-
-namespace
-{
-
-/** The Fleet per-node seed salting, reused verbatim. */
-std::uint64_t
-nodeSeed(std::uint64_t base, std::size_t node)
-{
-    return base + 0x9e37 * (node + 1);
-}
-
-} // namespace
 
 std::vector<BlockStat>
 extractBlocks(const cluster::SimulationResult &res,
@@ -128,48 +116,39 @@ runExperiment(const ExperimentRunConfig &config,
     const trace::FleetLoadGenerator gen(load);
 
     const auto nn = static_cast<std::size_t>(design.numNodes);
-    std::vector<obs::BufferTraceSink> buffers(tracing ? nn : 0);
     std::vector<std::vector<BlockStat>> node_blocks(nn);
+    cluster::SimulationConfig node_cfg = config.base;
+    node_cfg.durationSeconds =
+        static_cast<double>(design.epochsPerNode()) *
+        node_cfg.epochSeconds;
+    node_cfg.warmupEpochs = 0;
+    node_cfg.keepEpochs = true;
 
     exec::ThreadPool &p = pool ? *pool : exec::globalPool();
     // Each task touches only its own node: its scheduler
-    // instances, trace buffer and block slot.
-    exec::parallelFor(p, nn, [&](std::size_t n) {
-        cluster::SimulationConfig per_node = config.base;
-        per_node.seed = nodeSeed(config.base.seed, n);
-        per_node.durationSeconds =
-            static_cast<double>(design.epochsPerNode()) *
-            per_node.epochSeconds;
-        per_node.warmupEpochs = 0;
-        per_node.keepEpochs = true;
-        if (tracing || scope.series != nullptr) {
-            per_node.obs = scope.tagged(
-                (scope.scenario.empty()
-                     ? "node" + std::to_string(n)
-                     : scope.scenario + "/node" +
-                           std::to_string(n)));
-            if (tracing)
-                per_node.obs.sink = &buffers[n];
-        }
-
-        const auto a = sched::makeScheduler(design.armA);
-        const auto b = sched::makeScheduler(design.armB);
-        cluster::Node node(config.machine,
-                           cluster::fleetNodeApps(
-                               gen, static_cast<int>(n)));
-        cluster::EpochSimulator sim(std::move(node), per_node);
-        const auto res = sim.runSwitched(
-            {a.get(), b.get()},
-            nodeSchedule(design, static_cast<int>(n)));
-        node_blocks[n] =
-            extractBlocks(res, design, static_cast<int>(n));
-    });
-
-    // Trace buffers replay in node order: experiment traces are
-    // byte-identical at any --jobs.
-    if (tracing)
-        for (auto &b : buffers)
-            b.flushTo(*scope.sink);
+    // instances, trace buffer and block slot. The buffers replay in
+    // node order: experiment traces are byte-identical at any
+    // --jobs.
+    const auto buffers = cluster::tracedParallelFor(
+        p, nn, scope,
+        [](std::size_t n) { return "node" + std::to_string(n); },
+        [&](std::size_t n, const obs::Scope &node_scope) {
+            cluster::SimulationConfig c = node_cfg;
+            c.seed = cluster::nodeSeed(config.base.seed, n);
+            c.obs = node_scope;
+            const auto a = sched::makeScheduler(design.armA);
+            const auto b = sched::makeScheduler(design.armB);
+            const auto node = static_cast<int>(n);
+            const cluster::EpochSimulator sim(
+                cluster::Node(config.machine,
+                              cluster::fleetNodeApps(gen, node)),
+                c);
+            const auto res = sim.runSwitched(
+                {a.get(), b.get()}, nodeSchedule(design, node));
+            node_blocks[n] = extractBlocks(res, design, node);
+        });
+    for (const auto &buf : buffers)
+        buf.flushTo(*scope.sink);
 
     for (std::size_t n = 0; n < nn; ++n) {
         const auto arms =

@@ -11,12 +11,13 @@
  * aggregates feed the naive / Differences-in-Q / mixed estimators
  * and the experiment verdict.
  *
- * Determinism: node n runs on seed base.seed + 0x9e37 * (n + 1)
- * (the Fleet salting), the design randomization lives on its own
- * RNG stream, nodes fan out on the pool with per-node trace
- * buffers flushed in node order, and every aggregate is summed in
- * epoch order — results and trace bytes are identical at any
- * thread count.
+ * Determinism: nodes fan out through the same per-node fan-out as
+ * Fleet (cluster/fan_out.hh) — node n runs on
+ * cluster::nodeSeed(base.seed, n) under the "nodeN" child tag, and
+ * its private trace buffer is flushed in node order — the design
+ * randomization lives on its own RNG stream, and every aggregate
+ * is summed in epoch order, so results and trace bytes are
+ * identical at any thread count.
  */
 
 #ifndef AHQ_EXPERIMENT_HARNESS_HH

@@ -277,6 +277,25 @@ TEST(BenchDiff, FlagsRegressionsBeyondThreshold)
     EXPECT_EQ(run({"bench-diff", "--threshold=zz", oldf, newf})
                   .code,
               2);
+    // Non-finite or trailing-junk thresholds are usage errors too:
+    // a NaN threshold would otherwise pass every regression compare.
+    for (const char *bad : {"nan", "inf", "0.1x"}) {
+        const auto r = run({"bench-diff",
+                            std::string("--threshold=") + bad, oldf,
+                            newf});
+        EXPECT_EQ(r.code, 2) << bad;
+        EXPECT_NE(r.err.find("expected a finite number"),
+                  std::string::npos)
+            << bad;
+    }
+    const auto range =
+        run({"bench-diff", "--threshold=1.5", oldf, newf});
+    EXPECT_EQ(range.code, 2);
+    EXPECT_NE(range.err.find("must be a fraction in (0, 1)"),
+              std::string::npos);
+    // The perf gates' threshold (bench/perf_gate.cmake) stays valid.
+    EXPECT_EQ(
+        run({"bench-diff", "--threshold=0.85", oldf, newf}).code, 0);
     EXPECT_EQ(
         run({"bench-diff", oldf, "/nonexistent/b.json"}).code, 2);
 

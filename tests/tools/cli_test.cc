@@ -617,6 +617,27 @@ TEST(CliFleet, EndToEnd)
     EXPECT_NE(out.str().find("nodes/s"), std::string::npos);
 }
 
+TEST(CliFleet, ProfilePrintsTheSpanTree)
+{
+    // fleet and experiment run honour --profile like sweep: the
+    // merged span tree is printed after the run.
+    const std::vector<std::vector<std::string>> runs = {
+        {"fleet", "--nodes", "3", "--duration", "6", "--warmup", "2",
+         "--profile"},
+        {"experiment", "run", "--nodes=2", "--blocks=2",
+         "--block-epochs=4", "--resamples=20", "--profile"},
+    };
+    for (const auto &argv : runs) {
+        std::ostringstream out, err;
+        EXPECT_EQ(dispatch(argv, out, err), 0) << err.str();
+        EXPECT_NE(out.str().find("profile (span tree"),
+                  std::string::npos)
+            << argv[0] << "\n" << out.str();
+        EXPECT_NE(out.str().find("epoch"), std::string::npos)
+            << argv[0];
+    }
+}
+
 TEST(CliFleet, RejectsAppSpecs)
 {
     std::ostringstream out, err;

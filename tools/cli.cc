@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -18,10 +17,6 @@
 #include "cluster/oracle.hh"
 #include "fault/plan.hh"
 #include "exec/scenario_runner.hh"
-#include "obs/metrics.hh"
-#include "obs/span.hh"
-#include "obs/timeseries.hh"
-#include "obs/trace_sink.hh"
 #include "report/csv.hh"
 #include "report/table.hh"
 #include "sched/registry.hh"
@@ -315,38 +310,13 @@ runSimulate(const std::vector<std::string> &args, std::ostream &out,
             cfg.faults = &plan;
         }
 
-        std::unique_ptr<obs::FileTraceSink> sink;
-        obs::MetricsRegistry metrics;
-        obs::SpanProfiler prof;
-        obs::TimeSeriesRegistry tseries;
-        if (!opt.tracePath.empty()) {
-            sink = std::make_unique<obs::FileTraceSink>(
-                opt.tracePath);
-            cfg.obs.sink = sink.get();
-            cfg.obs.scenario = opt.strategy;
-            // Time-series record every epoch regardless of
-            // --trace-sample, so `ahq timeline` sees the full run
-            // even from a heavily sampled trace.
-            cfg.obs.series = &tseries;
-        }
-        if (opt.dumpMetrics || sink || opt.profile)
-            cfg.obs.metrics = &metrics;
-        if (opt.profile) {
-            cfg.obs.prof = &prof;
-            // A single run owns its trace, so the span events may
-            // carry wall-clock fields (they differ run to run, but
-            // there is no --jobs fan-out here to stay identical
-            // across).
-            cfg.obs.wallClock = true;
-            if (cfg.obs.scenario.empty())
-                cfg.obs.scenario = opt.strategy;
-        }
-
+        // A single run owns its trace, so its span events may carry
+        // wall-clock fields (they differ run to run, but there is no
+        // --jobs fan-out here to stay identical across).
+        RunTelemetry tel(opt, {.scenario = opt.strategy, .wallClock = true});
+        cfg.obs = tel.scope;
         const auto sched = makeScheduler(opt.strategy);
-        cluster::EpochSimulator sim(node, cfg);
-        const auto res = sim.run(*sched);
-        if (opt.profile)
-            prof.flush(cfg.obs);
+        const auto res = cluster::EpochSimulator(node, cfg).run(*sched);
 
         report::TextTable t({"app", "kind", "tail (ms)",
                              "threshold", "IPC", "IPC solo"});
@@ -397,19 +367,7 @@ runSimulate(const std::vector<std::string> &args, std::ostream &out,
             }
             out << "timeline written to " << opt.csvPath << "\n";
         }
-        if (opt.profile) {
-            out << "profile (span tree):\n";
-            printSpanProfile(out, prof, /*wall_times=*/true);
-        }
-        if (sink) {
-            // Series events come last: the folded per-run
-            // summaries close the trace deterministically.
-            tseries.flush(cfg.obs);
-            sink->flush();
-            out << "trace written to " << sink->path() << "\n";
-        }
-        if (opt.dumpMetrics)
-            metrics.print(out);
+        tel.finish(out, "profile (span tree):");
         return 0;
     } catch (const std::exception &e) {
         err << "error: " << e.what() << "\n";
@@ -497,29 +455,9 @@ runSweep(const std::vector<std::string> &args, std::ostream &out,
             cfg.faults = &plan;
         }
 
-        std::unique_ptr<obs::FileTraceSink> sink;
-        obs::MetricsRegistry metrics;
-        obs::SpanProfiler prof;
-        obs::TimeSeriesRegistry tseries;
-        obs::Scope scope;
-        if (!opt.tracePath.empty()) {
-            sink = std::make_unique<obs::FileTraceSink>(
-                opt.tracePath);
-            scope.sink = sink.get();
-            // Per-job scenario tags keep concurrent jobs on
-            // disjoint series; the flush below walks the sorted
-            // key set, so the series block is byte-identical at
-            // any --jobs.
-            scope.series = &tseries;
-        }
-        if (opt.dumpMetrics || sink || opt.profile)
-            scope.metrics = &metrics;
-        // wallClock stays off: the runner fans jobs across --jobs
-        // threads, and span-bearing traces must stay byte-identical
-        // at any thread count. The console tree below still shows
-        // wall times (stdout is not the trace).
-        if (opt.profile)
-            scope.prof = &prof;
+        // Jobs tag themselves; wallClock stays off, so span-bearing
+        // traces are byte-identical at any --jobs.
+        RunTelemetry tel(opt, {});
 
         // One tagged job per (load, strategy), fanned across the
         // pool; results and (while tracing) trace buffers come back
@@ -538,7 +476,7 @@ runSweep(const std::vector<std::string> &args, std::ostream &out,
         }
 
         exec::ScenarioRunner runner;
-        runner.setObsScope(scope);
+        runner.setObsScope(tel.scope);
         const auto results = runner.run(jobs);
 
         std::vector<std::string> header{opt.lcApps[0].first +
@@ -559,17 +497,7 @@ runSweep(const std::vector<std::string> &args, std::ostream &out,
         out << "E_S by strategy ("
             << opt.lcApps[0].first << " sweeping):\n";
         t.print(out);
-        if (opt.profile) {
-            out << "profile (span tree, all scenarios merged):\n";
-            printSpanProfile(out, prof, /*wall_times=*/true);
-        }
-        if (sink) {
-            tseries.flush(scope);
-            sink->flush();
-            out << "trace written to " << sink->path() << "\n";
-        }
-        if (opt.dumpMetrics)
-            metrics.print(out);
+        tel.finish(out, "profile (span tree, all scenarios merged):");
         return 0;
     } catch (const std::exception &e) {
         err << "error: " << e.what() << "\n";
@@ -613,33 +541,16 @@ runChaos(const std::vector<std::string> &args, std::ostream &out,
                                               : check::Mode::Strict;
         cfg.faults = &plan;
 
-        std::unique_ptr<obs::FileTraceSink> sink;
-        obs::MetricsRegistry metrics;
-        obs::SpanProfiler prof;
-        obs::TimeSeriesRegistry tseries;
-        obs::Scope scope;
-        if (!opt.tracePath.empty()) {
-            sink = std::make_unique<obs::FileTraceSink>(
-                opt.tracePath);
-            scope.sink = sink.get();
-            // As in sweep: per-strategy tags keep the series
-            // disjoint and the sorted flush keeps them
-            // byte-identical at any --jobs.
-            scope.series = &tseries;
-        }
-        // Metrics are always on: the summary below reads them.
-        scope.metrics = &metrics;
-        // As in sweep: profiler on, wallClock off (trace identity
-        // across --jobs).
-        if (opt.profile)
-            scope.prof = &prof;
+        // As in sweep, plus metrics always on: the summary below
+        // reads them.
+        RunTelemetry tel(opt, {.scenario = "", .metrics = true});
 
         std::vector<exec::ScenarioJob> jobs;
         for (const auto &name : sched::allStrategyNames())
             jobs.push_back({name, node, cfg, name});
 
         exec::ScenarioRunner runner;
-        runner.setObsScope(scope);
+        runner.setObsScope(tel.scope);
         const auto results = runner.run(jobs);
 
         out << "chaos over " << node.describe() << " ("
@@ -660,7 +571,7 @@ runChaos(const std::vector<std::string> &args, std::ostream &out,
 
         auto line = [&](const char *label, const char *name) {
             out << "  " << label << " = "
-                << static_cast<long long>(metrics.counter(name))
+                << static_cast<long long>(tel.metrics.counter(name))
                 << "\n";
         };
         out << "fault injection:\n";
@@ -671,17 +582,7 @@ runChaos(const std::vector<std::string> &args, std::ostream &out,
         line("measurement recoveries", "recovery.measurement");
         line("actuation retries won", "recovery.actuation_retry");
 
-        if (opt.profile) {
-            out << "profile (span tree, all strategies merged):\n";
-            printSpanProfile(out, prof, /*wall_times=*/true);
-        }
-        if (sink) {
-            tseries.flush(scope);
-            sink->flush();
-            out << "trace written to " << sink->path() << "\n";
-        }
-        if (opt.dumpMetrics)
-            metrics.print(out);
+        tel.finish(out, "profile (span tree, all strategies merged):");
         return 0;
     } catch (const check::InvariantViolation &e) {
         err << "invariant violation under faults: " << e.what()

@@ -16,16 +16,13 @@
 #include "cli.hh"
 #include "front_end.hh"
 
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "experiment/harness.hh"
 #include "fault/plan.hh"
-#include "obs/metrics.hh"
 #include "obs/trace_reader.hh"
-#include "obs/trace_sink.hh"
 #include "report/table.hh"
 #include "sched/registry.hh"
 
@@ -200,16 +197,8 @@ runRunVerb(const ExpFlags &flags, const SimulateOptions &opt,
         cfg.base.faults = &plan;
     }
 
-    std::unique_ptr<obs::FileTraceSink> sink;
-    obs::MetricsRegistry metrics;
-    if (!opt.tracePath.empty()) {
-        sink =
-            std::make_unique<obs::FileTraceSink>(opt.tracePath);
-        cfg.base.obs.sink = sink.get();
-        cfg.base.obs.scenario = "exp";
-    }
-    if (opt.dumpMetrics || sink)
-        cfg.base.obs.metrics = &metrics;
+    RunTelemetry tel(opt, {.scenario = "exp", .series = false});
+    cfg.base.obs = tel.scope;
 
     const auto res = experiment::runExperiment(cfg);
 
@@ -222,12 +211,7 @@ runRunVerb(const ExpFlags &flags, const SimulateOptions &opt,
         << res.policySwaps << " policy swaps\n";
     printEstimates(out, res.estimates, res.verdict);
 
-    if (sink) {
-        sink->flush();
-        out << "trace written to " << sink->path() << "\n";
-    }
-    if (opt.dumpMetrics)
-        metrics.print(out);
+    tel.finish(out, "profile (span tree, all nodes merged):");
     return 0;
 }
 

@@ -12,13 +12,9 @@
 
 #include <chrono>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 
 #include "cluster/cluster_sched.hh"
-#include "obs/metrics.hh"
-#include "obs/timeseries.hh"
-#include "obs/trace_sink.hh"
 #include "report/table.hh"
 #include "sched/registry.hh"
 #include "trace/fleet_load.hh"
@@ -106,18 +102,8 @@ runFleet(const std::vector<std::string> &args, std::ostream &out,
         cluster::SimulationConfig cfg = simulationConfigFor(opt);
         cfg.keepEpochs = ff.keepEpochs;
 
-        std::unique_ptr<obs::FileTraceSink> sink;
-        obs::MetricsRegistry metrics;
-        obs::TimeSeriesRegistry tseries;
-        if (!opt.tracePath.empty()) {
-            sink = std::make_unique<obs::FileTraceSink>(
-                opt.tracePath);
-            cfg.obs.sink = sink.get();
-            cfg.obs.scenario = opt.strategy;
-            cfg.obs.series = &tseries;
-        }
-        if (opt.dumpMetrics || sink)
-            cfg.obs.metrics = &metrics;
+        RunTelemetry tel(opt, {.scenario = opt.strategy});
+        cfg.obs = tel.scope;
 
         // Peak offered demand: every LC slot's tenant at its
         // daytime peak, in the app's own QPS units.
@@ -235,13 +221,7 @@ runFleet(const std::vector<std::string> &args, std::ostream &out,
                    wall_s > 0.0 ? lc.numNodes / wall_s : 0.0, 1)
             << " nodes/s\n";
 
-        if (sink) {
-            tseries.flush(cfg.obs);
-            sink->flush();
-            out << "trace written to " << sink->path() << "\n";
-        }
-        if (opt.dumpMetrics)
-            metrics.print(out);
+        tel.finish(out, "profile (span tree, all nodes merged):");
         return 0;
     } catch (const std::exception &e) {
         err << "error: " << e.what() << "\n";

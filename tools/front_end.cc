@@ -1,7 +1,8 @@
 /**
  * @file
  * The shared `ahq` front end: flag scanner, typed value readers,
- * trace front end and the options-to-run-inputs mapping.
+ * trace front end, the options-to-run-inputs mapping and the run
+ * telemetry.
  */
 
 #include "front_end.hh"
@@ -295,6 +296,50 @@ simulationConfigFor(const SimulateOptions &opt)
     cfg.attribute = opt.attribute;
     cfg.slo = opt.slo;
     return cfg;
+}
+
+RunTelemetry::RunTelemetry(const SimulateOptions &opt, Shape shape)
+    : dumpMetrics_(opt.dumpMetrics)
+{
+    scope.scenario = std::move(shape.scenario);
+    if (!opt.tracePath.empty()) {
+        sink_ = std::make_unique<obs::FileTraceSink>(opt.tracePath);
+        scope.sink = sink_.get();
+        // Series record every epoch regardless of --trace-sample, so
+        // `ahq timeline` sees the whole run even from a sampled
+        // trace. Fan-outs tag every node or job, so concurrent
+        // recordings stay disjoint and the sorted flush is
+        // byte-identical at any --jobs.
+        if (shape.series)
+            scope.series = &series_;
+    }
+    if (shape.metrics || opt.dumpMetrics || sink_ || opt.profile)
+        scope.metrics = &metrics;
+    if (opt.profile) {
+        scope.prof = &prof_;
+        scope.wallClock = shape.wallClock;
+    }
+}
+
+void
+RunTelemetry::finish(std::ostream &out, const char *profile_title)
+{
+    if (scope.profiling()) {
+        if (scope.wallClock)
+            prof_.flush(scope);
+        out << profile_title << "\n";
+        // stdout is not the trace: the tree always shows wall times.
+        printSpanProfile(out, prof_, /*wall_times=*/true);
+    }
+    if (sink_) {
+        // Series events come last: the folded per-run summaries
+        // close the trace deterministically.
+        series_.flush(scope);
+        sink_->flush();
+        out << "trace written to " << sink_->path() << "\n";
+    }
+    if (dumpMetrics_)
+        metrics.print(out);
 }
 
 } // namespace ahq::cli

@@ -9,7 +9,10 @@
  *    report, experiment analyze|verdict) open a JSONL trace, check
  *    its schema version, filter it and pick an output format;
  *  - machineFor / nodeFor / simulationConfigFor, the one mapping
- *    from SimulateOptions to the inputs of a run.
+ *    from SimulateOptions to the inputs of a run;
+ *  - RunTelemetry, the one wiring of a run's trace sink, metrics,
+ *    time series and span profiler, and the one end-of-run output
+ *    that prints and flushes them.
  *
  * Exit-code contract of every verb: 0 ok, 1 bad input data or a
  * runtime failure, 2 a usage error (bad flag, bad flag value,
@@ -22,13 +25,18 @@
 #include <climits>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "cli.hh"
+#include "obs/metrics.hh"
+#include "obs/span.hh"
+#include "obs/timeseries.hh"
 #include "obs/trace_reader.hh"
+#include "obs/trace_sink.hh"
 #include "trace/fleet_load.hh"
 
 namespace ahq::cli
@@ -205,6 +213,57 @@ cluster::Node nodeFor(const SimulateOptions &opt);
  * the verb.
  */
 cluster::SimulationConfig simulationConfigFor(const SimulateOptions &opt);
+
+/**
+ * The telemetry of one run verb (simulate, sweep, chaos, fleet,
+ * experiment run), wired from --trace, --metrics and --profile:
+ * `scope` carries the trace sink, the metrics registry (attached
+ * with any of the three), the time-series registry (while tracing)
+ * and the span profiler. Hand `scope` to the run, then call
+ * finish().
+ */
+class RunTelemetry
+{
+  public:
+    /** How a verb's telemetry differs from the common wiring. */
+    struct Shape
+    {
+        /** Scenario tag of the run's events ("" = jobs tag). */
+        std::string scenario;
+
+        /** Attach the time-series registry while tracing. */
+        bool series = true;
+
+        /** Attach the metrics registry even without a flag. */
+        bool metrics = false;
+
+        /**
+         * One run with no --jobs fan-out: spans carry wall-clock
+         * fields, and finish() flushes the profile into the trace.
+         * Fan-out runs keep it off so traces stay byte-identical at
+         * any --jobs (ScenarioRunner jobs flush their own spans).
+         */
+        bool wallClock = false;
+    };
+
+    RunTelemetry(const SimulateOptions &opt, Shape shape);
+
+    obs::Scope scope;
+    obs::MetricsRegistry metrics;
+
+    /**
+     * The end of the run: print the span tree under
+     * `profile_title`, flush the series and the sink ("trace
+     * written to <path>"), then dump the metrics for --metrics.
+     */
+    void finish(std::ostream &out, const char *profile_title);
+
+  private:
+    bool dumpMetrics_;
+    std::unique_ptr<obs::FileTraceSink> sink_;
+    obs::TimeSeriesRegistry series_;
+    obs::SpanProfiler prof_;
+};
 
 } // namespace ahq::cli
 

@@ -457,16 +457,11 @@ runBenchDiff(const std::vector<std::string> &args,
             if (a == "--baseline") {
                 baseline = s.value();
             } else if (a == "--threshold") {
-                const std::string value = s.value();
-                try {
-                    threshold = std::stod(value);
-                } catch (const std::exception &) {
-                    threshold = -1.0;
-                }
+                threshold = s.number();
                 if (threshold <= 0.0 || threshold >= 1.0) {
                     throw std::invalid_argument(
                         "--threshold must be a fraction in (0, 1), "
-                        "got '" + value + "'");
+                        "got " + std::to_string(threshold));
                 }
             } else if (s.isFlag()) {
                 throw std::invalid_argument("unknown option: " + a);
