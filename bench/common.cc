@@ -193,6 +193,31 @@ secondsOfN(const std::function<void()> &fn, int reps)
     return best;
 }
 
+double
+medianPairedRatio(const std::function<void()> &off,
+                  const std::function<void()> &on)
+{
+    std::vector<double> ratios;
+    double elapsed = 0.0;
+    while (elapsed < 3.0 || ratios.size() < 9) {
+        double t_off = 0.0, t_on = 0.0;
+        if (ratios.size() % 2 == 0) {
+            t_off = secondsOnce(off);
+            t_on = secondsOnce(on);
+        } else {
+            t_on = secondsOnce(on);
+            t_off = secondsOnce(off);
+        }
+        ratios.push_back(t_on / t_off);
+        elapsed += t_off + t_on;
+    }
+    std::sort(ratios.begin(), ratios.end());
+    const std::size_t mid = ratios.size() / 2;
+    return ratios.size() % 2 == 1
+        ? ratios[mid]
+        : 0.5 * (ratios[mid - 1] + ratios[mid]);
+}
+
 std::string
 num(double v, int precision)
 {

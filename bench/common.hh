@@ -122,6 +122,20 @@ double secondsOnce(const std::function<void()> &fn);
  */
 double secondsOfN(const std::function<void()> &fn, int reps = 3);
 
+/**
+ * Median over interleaved pairs of wall(on) / wall(off): each pair
+ * times `off` and `on` back to back, alternating which goes first,
+ * and pairs repeat until at least 3 s of wall time and 9 pairs
+ * have passed. Host noise that lands on one sample moves one
+ * ratio, not the median, so a percent-level overhead gate decided
+ * on it does not fail on a single slow run the way a best-of-N
+ * comparison of two blocks can. (At 1 s, 2 of 10 runs of an
+ * identical off/on pair read above 2% on a shared 4-vCPU VM; at
+ * 3 s, none of 10 did.)
+ */
+double medianPairedRatio(const std::function<void()> &off,
+                         const std::function<void()> &on);
+
 /** Format a double for tables (shortcut). */
 std::string num(double v, int precision = 3);
 

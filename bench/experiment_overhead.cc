@@ -6,7 +6,8 @@
  * ways — the plain single-scheduler run, the same run through
  * runSwitched with a dormant schedule (the seam engaged but never
  * swapping), and a full switchback runExperiment — and fails if the
- * dormant seam costs more than 2% over plain. With --json it writes
+ * dormant seam costs more than 2% over plain in the median of
+ * interleaved plain/seam pairs. With --json it writes
  * BENCH_experiment_overhead.json, committed as the perf baseline
  * for the `ctest -L perf` gate.
  */
@@ -124,9 +125,20 @@ main(int argc, char **argv)
         return 1;
     }
 
-    const double overhead = s_seam / s_plain - 1.0;
+    // The gate: the median of interleaved plain/seam pairs over at
+    // least 3 s, not the two best-of-N rows above, which share no
+    // machine conditions and would decide on one sample each.
+    const double overhead =
+        medianPairedRatio(
+            [&] { (void)sim.run(*arq); },
+            [&] {
+                (void)sim.runSwitched({arq.get()},
+                                      cluster::PolicySchedule{});
+            }) -
+        1.0;
     std::cout << "seam overhead on the hot path: "
-              << num(overhead * 100.0, 2) << "% (gate: < 2%)\n";
+              << num(overhead * 100.0, 2)
+              << "% (median of interleaved pairs; gate: < 2%)\n";
     if (overhead > 0.02) {
         std::cerr << "FAIL: dormant-seam overhead "
                   << num(overhead * 100.0, 2) << "% exceeds 2%\n";

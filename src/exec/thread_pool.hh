@@ -15,7 +15,6 @@
 #ifndef AHQ_EXEC_THREAD_POOL_HH
 #define AHQ_EXEC_THREAD_POOL_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -25,11 +24,6 @@
 #include <thread>
 #include <type_traits>
 #include <vector>
-
-namespace ahq::obs
-{
-class SpanProfiler;
-} // namespace ahq::obs
 
 namespace ahq::exec
 {
@@ -104,20 +98,6 @@ class ThreadPool
      */
     static bool onPoolThread();
 
-    /**
-     * Attach a diagnostics profiler: every task drained by a
-     * worker is recorded as a root `pool.task` span. Null detaches
-     * (the default — one relaxed atomic load per task). The task
-     * count depends on pool size and scheduling, so this profiler
-     * is for local diagnosis only and is never routed into the
-     * deterministic trace stream. The profiler must outlive the
-     * pool or be detached first.
-     */
-    void attachProfiler(obs::SpanProfiler *prof)
-    {
-        prof_.store(prof, std::memory_order_relaxed);
-    }
-
   private:
     void workerLoop();
 
@@ -126,7 +106,6 @@ class ThreadPool
     std::deque<std::function<void()>> queue_;
     bool stopping_ = false;
     std::vector<std::thread> workers_;
-    std::atomic<obs::SpanProfiler *> prof_{nullptr};
 };
 
 } // namespace ahq::exec

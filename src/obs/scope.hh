@@ -176,14 +176,6 @@ struct Scope
         out.sink = s;
         return out;
     }
-
-    /** Copy of this scope recording spans into a profiler. */
-    Scope withProf(SpanProfiler *p) const
-    {
-        Scope out = *this;
-        out.prof = p;
-        return out;
-    }
 };
 
 } // namespace ahq::obs

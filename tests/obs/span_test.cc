@@ -5,15 +5,10 @@
  * gating), quantiles, and the cross-layer contracts — epoch
  * simulator span counts match the run's epoch count, child wall
  * time never exceeds its parent, ScenarioRunner span-bearing
- * traces stay byte-identical at any pool size, and ThreadPool's
- * diagnostics profiler records pool.task without polluting job
- * hierarchies.
+ * traces stay byte-identical at any pool size.
  */
 
 #include <gtest/gtest.h>
-
-#include <future>
-#include <thread>
 
 #include "apps/catalog.hh"
 #include "cluster/epoch_sim.hh"
@@ -88,7 +83,7 @@ TEST(Span, ForeignProfilerStartsAFreshRoot)
 {
     // A span targeting a different profiler than the innermost
     // open one must not inherit the foreign prefix — this is what
-    // keeps ThreadPool- or Fleet-level profilers out of job
+    // keeps Fleet-level profilers out of job
     // hierarchies.
     SpanProfiler outer_prof, inner_prof;
     {
@@ -325,28 +320,6 @@ TEST(SpanProfiler, RunnerTracesAreByteIdenticalAcrossPoolSizes)
     EXPECT_EQ(serial, parallel);
     EXPECT_NE(serial.find("\"type\":\"span\""),
               std::string::npos);
-}
-
-TEST(ThreadPool, AttachedProfilerCountsDrainedTasks)
-{
-    exec::ThreadPool pool(2);
-    SpanProfiler prof;
-    pool.attachProfiler(&prof);
-    std::vector<std::future<int>> futs;
-    for (int i = 0; i < 8; ++i)
-        futs.push_back(pool.submit([i] { return i; }));
-    for (auto &f : futs)
-        f.get();
-    // A task's future is ready before its worker records the span;
-    // joining the workers makes every record visible.
-    pool.shutdown();
-    pool.attachProfiler(nullptr);
-    const auto snap = prof.snapshot();
-    ASSERT_EQ(snap.count("pool.task"), 1u);
-    EXPECT_EQ(snap.at("pool.task").count, 8u);
-    // Recorded as a root path — never nested under job spans.
-    for (const auto &[path, st] : snap)
-        EXPECT_EQ(path.find('/'), std::string::npos) << path;
 }
 
 } // namespace

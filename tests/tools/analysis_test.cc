@@ -12,6 +12,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cli.hh"
 #include "obs/trace_reader.hh"
@@ -564,6 +566,106 @@ TEST(TraceVerbs, RejectForeignSchemaAndTruncatedLinesAlike)
     }
     std::remove(foreign.c_str());
     std::remove(truncated.c_str());
+}
+
+/** Cells per record of a CSV text, honouring RFC 4180 quotes. */
+std::vector<std::size_t>
+csvCellCounts(const std::string &text)
+{
+    std::vector<std::size_t> counts;
+    std::size_t cells = 1;
+    bool quoted = false;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        const char c = text[i];
+        if (quoted) {
+            if (c == '"' && i + 1 < text.size() && text[i + 1] == '"')
+                ++i;
+            else if (c == '"')
+                quoted = false;
+        } else if (c == '"') {
+            quoted = true;
+        } else if (c == ',') {
+            ++cells;
+        } else if (c == '\n') {
+            counts.push_back(cells);
+            cells = 1;
+        }
+    }
+    return counts;
+}
+
+/** Unescaped '|' separators in one Markdown line. */
+std::size_t
+markdownSeparators(const std::string &line)
+{
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < line.size(); ++i)
+        n += line[i] == '|' && (i == 0 || line[i - 1] != '\\');
+    return n;
+}
+
+TEST(TraceVerbs, CsvAndMarkdownCellsKeepTheirColumns)
+{
+    // Tags and names come from the trace: a comma, a quote, a '|'
+    // or a newline inside one must not add columns to CSV or
+    // Markdown rows.
+    const std::string trace = tmpPath("escaping.jsonl");
+    {
+        const std::string tag = "\"scenario\":\"A|R,Q\"";
+        const std::string app = "\"app\":\"xa,\\\"pi\\\"an\"";
+        std::ofstream f(trace);
+        f << "{\"v\":1,\"type\":\"run_start\"," << tag
+          << ",\"scheduler\":\"AR|Q\\nX\"}\n"
+          << "{\"v\":1,\"type\":\"epoch\"," << tag
+          << ",\"epoch\":0,\"t\":0,\"e_s\":0.5}\n"
+          << "{\"v\":1,\"type\":\"attribution\"," << tag
+          << ",\"epoch\":0," << app
+          << ",\"culprits\":[\"mo,ses\"],\"resources\":[\"ways\"],"
+             "\"shares\":[0.25]}\n"
+          << "{\"v\":1,\"type\":\"alert_raise\"," << tag
+          << ",\"epoch\":1," << app
+          << ",\"burn_fast\":2,\"burn_slow\":1}\n"
+          << "{\"v\":1,\"type\":\"alert_clear\"," << tag
+          << ",\"epoch\":3," << app
+          << ",\"burn_fast\":0.5,\"burn_slow\":0.5,\"duration\":2}\n"
+          << "{\"v\":1,\"type\":\"series\"," << tag
+          << ",\"series\":\"e_s\",\"stride\":1,\"epochs\":2,"
+             "\"capacity\":4,\"points\":1,\"n\":[1,0],"
+             "\"min\":[0.5,0],\"max\":[0.5,0],\"sum\":[0.5,0]}\n"
+          << "{\"v\":1,\"type\":\"experiment_end\"," << tag
+          << ",\"verdict\":\"a|b\",\"blocks_a\":1,\"blocks_b\":1}\n";
+    }
+    for (const char *verb : {"why", "alerts", "timeline"}) {
+        const auto res = run({verb, "--format=csv", trace});
+        ASSERT_EQ(res.code, 0) << verb << ": " << res.err;
+        const auto counts = csvCellCounts(res.out);
+        ASSERT_GE(counts.size(), 2u) << verb << "\n" << res.out;
+        for (std::size_t row = 1; row < counts.size(); ++row) {
+            EXPECT_EQ(counts[row], counts[0])
+                << verb << " row " << row << "\n" << res.out;
+        }
+    }
+
+    const auto md = run({"report", "--format=md", trace});
+    ASSERT_EQ(md.code, 0) << md.err;
+    std::istringstream lines(md.out);
+    std::string line;
+    std::size_t header = 0, rows = 0;
+    while (std::getline(lines, line)) {
+        if (line.empty() || line[0] != '|') {
+            header = 0;
+            continue;
+        }
+        if (header == 0) {
+            header = markdownSeparators(line);
+            continue;
+        }
+        ++rows;
+        EXPECT_EQ(markdownSeparators(line), header)
+            << line << "\n" << md.out;
+    }
+    EXPECT_GE(rows, 4u) << md.out; // 2 rules + run + experiment
+    std::remove(trace.c_str());
 }
 
 TEST(Usage, MentionsTheNewSubcommands)

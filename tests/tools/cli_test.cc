@@ -7,7 +7,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
+
+#include <unistd.h>
 
 #include "cli.hh"
 #include "obs/trace_reader.hh"
@@ -620,21 +623,51 @@ TEST(CliFleet, EndToEnd)
 TEST(CliFleet, ProfilePrintsTheSpanTree)
 {
     // fleet and experiment run honour --profile like sweep: the
-    // merged span tree is printed after the run.
-    const std::vector<std::vector<std::string>> runs = {
-        {"fleet", "--nodes", "3", "--duration", "6", "--warmup", "2",
-         "--profile"},
-        {"experiment", "run", "--nodes=2", "--blocks=2",
-         "--block-epochs=4", "--resamples=20", "--profile"},
+    // merged span tree is printed after the run, and with --trace
+    // its span events land in the trace (wall clock off), so
+    // `ahq profile` reads them back and the trace stays
+    // byte-identical at any --jobs.
+    const std::string prefix = testing::TempDir() + "ahq_profile_" +
+        std::to_string(::getpid()) + "_";
+    const std::vector<std::pair<std::string, std::vector<std::string>>>
+        runs = {
+            {"fleet",
+             {"fleet", "--nodes", "3", "--duration", "6", "--warmup",
+              "2", "--profile"}},
+            {"experiment",
+             {"experiment", "run", "--nodes=2", "--blocks=2",
+              "--block-epochs=4", "--resamples=20", "--profile"}},
+        };
+    auto slurp = [](const std::string &path) {
+        std::ifstream in(path);
+        std::stringstream ss;
+        ss << in.rdbuf();
+        return ss.str();
     };
-    for (const auto &argv : runs) {
-        std::ostringstream out, err;
-        EXPECT_EQ(dispatch(argv, out, err), 0) << err.str();
-        EXPECT_NE(out.str().find("profile (span tree"),
+    for (const auto &[name, base] : runs) {
+        std::map<std::string, std::string> traces;
+        for (const char *jobs : {"1", "4"}) {
+            const std::string path =
+                prefix + name + "_j" + jobs + ".jsonl";
+            auto argv = base;
+            argv.insert(argv.end(), {"--jobs", jobs, "--trace", path});
+            std::ostringstream out, err;
+            EXPECT_EQ(dispatch(argv, out, err), 0) << err.str();
+            EXPECT_NE(out.str().find("profile (span tree"),
+                      std::string::npos)
+                << name << "\n" << out.str();
+            EXPECT_NE(out.str().find("epoch"), std::string::npos)
+                << name;
+            std::ostringstream pout, perr;
+            EXPECT_EQ(dispatch({"profile", path}, pout, perr), 0)
+                << name << " --jobs " << jobs << ": " << perr.str();
+            traces[jobs] = slurp(path);
+            std::remove(path.c_str());
+        }
+        EXPECT_NE(traces["1"].find("\"type\":\"span\""),
                   std::string::npos)
-            << argv[0] << "\n" << out.str();
-        EXPECT_NE(out.str().find("epoch"), std::string::npos)
-            << argv[0];
+            << name;
+        EXPECT_EQ(traces["1"], traces["4"]) << name;
     }
 }
 

@@ -42,8 +42,8 @@ splitCsvRow(const std::string &line)
 
 } // namespace
 
-std::vector<obs::AttributionRow>
-blameRows(const obs::AttributionLedger &ledger, std::size_t top)
+OutputTable
+blameTable(const obs::AttributionLedger &ledger, std::size_t top)
 {
     auto rows = ledger.rows();
     std::stable_sort(rows.begin(), rows.end(),
@@ -53,22 +53,11 @@ blameRows(const obs::AttributionLedger &ledger, std::size_t top)
                      });
     if (top > 0 && rows.size() > top)
         rows.resize(top);
-    return rows;
-}
-
-void
-printBlameTable(std::ostream &out,
-                const obs::AttributionLedger &ledger,
-                std::size_t top)
-{
-    report::TextTable t({"victim", "culprit", "resource",
-                         "sum R_i share", "epochs"});
-    for (const auto &r : blameRows(ledger, top)) {
-        t.addRow({r.victim, r.culprit, r.resource,
-                  report::TextTable::num(r.share),
-                  std::to_string(r.epochs)});
-    }
-    t.print(out);
+    OutputTable t({"victim", "culprit", "resource",
+                   {"share", "sum R_i share"}, "epochs"});
+    for (const auto &r : rows)
+        t.addRow({r.victim, r.culprit, r.resource, r.share, r.epochs});
+    return t;
 }
 
 /** One-line alert accounting for a run with --slo. */
@@ -313,7 +302,9 @@ runSimulate(const std::vector<std::string> &args, std::ostream &out,
         // A single run owns its trace, so its span events may carry
         // wall-clock fields (they differ run to run, but there is no
         // --jobs fan-out here to stay identical across).
-        RunTelemetry tel(opt, {.scenario = opt.strategy, .wallClock = true});
+        RunTelemetry tel(
+            opt, {.scenario = opt.strategy,
+                  .spans = RunTelemetry::Shape::Spans::WallClock});
         cfg.obs = tel.scope;
         const auto sched = makeScheduler(opt.strategy);
         const auto res = cluster::EpochSimulator(node, cfg).run(*sched);
@@ -347,7 +338,7 @@ runSimulate(const std::vector<std::string> &args, std::ostream &out,
         if (opt.attribute && !res.attribution.empty()) {
             out << "interference attribution (post-warmup sum of "
                    "per-epoch R_i shares):\n";
-            printBlameTable(out, res.attribution, 12);
+            blameTable(res.attribution, 12).printText(out);
         } else if (opt.attribute) {
             out << "interference attribution: no LC app suffered "
                    "interference after warmup\n";
@@ -455,8 +446,9 @@ runSweep(const std::vector<std::string> &args, std::ostream &out,
             cfg.faults = &plan;
         }
 
-        // Jobs tag themselves; wallClock stays off, so span-bearing
-        // traces are byte-identical at any --jobs.
+        // Jobs tag themselves and flush their own spans without
+        // wall clock, so span-bearing traces are byte-identical at
+        // any --jobs.
         RunTelemetry tel(opt, {});
 
         // One tagged job per (load, strategy), fanned across the

@@ -53,6 +53,8 @@ class SpanProfiler;
 namespace ahq::cli
 {
 
+class OutputTable; // front_end.hh
+
 /** Parsed command line for the simulate subcommand. */
 struct SimulateOptions
 {
@@ -318,22 +320,15 @@ void printSpanProfile(std::ostream &out,
                       bool wall_times);
 
 /**
- * A blame ledger's rows, largest attributed share first (ties
- * broken by ledger key order, so the order is deterministic).
+ * A blame ledger's rows as a table, largest attributed share first
+ * (ties broken by ledger key order, so the order is deterministic)
+ * — the blame table simulate and fleet print for --attribute and
+ * `ahq why` prints in every format.
  *
  * @param top Keep only the `top` largest rows; 0 = all.
  */
-std::vector<obs::AttributionRow>
-blameRows(const obs::AttributionLedger &ledger, std::size_t top);
-
-/**
- * Print blameRows(ledger, top) as a text table — the console
- * rendering simulate/fleet use for --attribute and `ahq why` uses
- * for its text format.
- */
-void printBlameTable(std::ostream &out,
-                     const obs::AttributionLedger &ledger,
-                     std::size_t top);
+OutputTable blameTable(const obs::AttributionLedger &ledger,
+                       std::size_t top);
 
 /** Print one run's alert accounting (the --slo console line). */
 void printSloSummary(std::ostream &out, const obs::SloSummary &slo);

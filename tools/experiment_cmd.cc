@@ -197,7 +197,9 @@ runRunVerb(const ExpFlags &flags, const SimulateOptions &opt,
         cfg.base.faults = &plan;
     }
 
-    RunTelemetry tel(opt, {.scenario = "exp", .series = false});
+    RunTelemetry tel(opt, {.scenario = "exp",
+                           .series = false,
+                           .spans = RunTelemetry::Shape::Spans::Merged});
     cfg.base.obs = tel.scope;
 
     const auto res = experiment::runExperiment(cfg);

@@ -102,7 +102,9 @@ runFleet(const std::vector<std::string> &args, std::ostream &out,
         cluster::SimulationConfig cfg = simulationConfigFor(opt);
         cfg.keepEpochs = ff.keepEpochs;
 
-        RunTelemetry tel(opt, {.scenario = opt.strategy});
+        RunTelemetry tel(
+            opt, {.scenario = opt.strategy,
+                  .spans = RunTelemetry::Shape::Spans::Merged});
         cfg.obs = tel.scope;
 
         // Peak offered demand: every LC slot's tenant at its
@@ -200,7 +202,7 @@ runFleet(const std::vector<std::string> &args, std::ostream &out,
         if (opt.attribute && !blame.empty()) {
             out << "fleet blame ledger (top 12 by attributed "
                    "interference):\n";
-            printBlameTable(out, blame, 12);
+            blameTable(blame, 12).printText(out);
         }
         if (opt.slo)
             printSloSummary(out, slo_totals);

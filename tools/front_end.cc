@@ -1,8 +1,8 @@
 /**
  * @file
  * The shared `ahq` front end: flag scanner, typed value readers,
- * trace front end, the options-to-run-inputs mapping and the run
- * telemetry.
+ * trace front end, output tables, the per-run fold, the
+ * options-to-run-inputs mapping and the run telemetry.
  */
 
 #include "front_end.hh"
@@ -14,7 +14,10 @@
 
 #include "apps/catalog.hh"
 #include "exec/jobs.hh"
+#include "obs/json.hh"
 #include "obs/scope.hh"
+#include "report/csv.hh"
+#include "report/table.hh"
 
 namespace ahq::cli
 {
@@ -105,6 +108,23 @@ FlagScanner::integer(long long min_v)
             " (got " + s + ")");
     }
     return v;
+}
+
+std::string
+FlagScanner::oneOf(std::initializer_list<const char *> choices)
+{
+    const std::string v = value();
+    std::string names;
+    for (std::size_t i = 0; i < choices.size(); ++i) {
+        const char *c = choices.begin()[i];
+        if (v == c)
+            return v;
+        if (i > 0)
+            names += i + 1 == choices.size() ? " or " : ", ";
+        names += c;
+    }
+    throw std::invalid_argument(name_ + " must be " + names +
+                                " (got " + v + ")");
 }
 
 void
@@ -238,13 +258,7 @@ parseTraceArgs(const std::vector<std::string> &args, std::ostream &err,
             } else if (a == "--app" && with_app) {
                 opt.app = s.value();
             } else if (a == "--format") {
-                opt.format = s.value();
-                if (opt.format != "text" && opt.format != "csv" &&
-                    opt.format != "json") {
-                    throw std::invalid_argument(
-                        "--format must be text, csv or json (got " +
-                        opt.format + ")");
-                }
+                opt.format = s.oneOf({"text", "csv", "json"});
             } else if (s.isFlag()) {
                 if (!extra || !extra(s))
                     throw std::invalid_argument("unknown option: " + a);
@@ -262,6 +276,250 @@ parseTraceArgs(const std::vector<std::string> &args, std::ostream &err,
         return std::nullopt;
     }
     return opt;
+}
+
+std::string
+Cell::spell(bool human) const
+{
+    if (human && shown_)
+        return *shown_;
+    if (const auto *s = std::get_if<std::string>(&value_))
+        return *s;
+    if (absent())
+        return human ? "-" : "";
+    if (const auto *v = std::get_if<double>(&value_); v && human)
+        return report::TextTable::num(*v);
+    // Integers, and numbers and lists outside text, as in JSON.
+    std::string out;
+    appendJson(out);
+    return out;
+}
+
+void
+Cell::appendJson(std::string &out) const
+{
+    if (const auto *s = std::get_if<std::string>(&value_)) {
+        obs::json::appendString(out, *s);
+    } else if (const auto *v = std::get_if<long long>(&value_)) {
+        obs::json::appendNumber(out, *v);
+    } else if (const auto *v = std::get_if<double>(&value_)) {
+        obs::json::appendNumber(out, *v);
+    } else {
+        const auto &list = std::get<std::vector<double>>(value_);
+        out.push_back('[');
+        for (std::size_t i = 0; i < list.size(); ++i) {
+            if (i > 0)
+                out.push_back(',');
+            obs::json::appendNumber(out, list[i]);
+        }
+        out.push_back(']');
+    }
+}
+
+Cell
+scenarioCell(const std::string &tag)
+{
+    return Cell(tag).shown(scenarioLabel(tag));
+}
+
+Cell
+orDash(const std::string &s)
+{
+    return Cell(s).shown(s.empty() ? "-" : s);
+}
+
+void
+OutputTable::printText(std::ostream &out) const
+{
+    std::vector<std::string> titles;
+    for (const auto &c : columns_)
+        titles.push_back(c.title);
+    report::TextTable t(std::move(titles));
+    for (const auto &row : rows_) {
+        std::vector<std::string> cells;
+        for (const auto &c : row)
+            cells.push_back(c.spell(true));
+        t.addRow(std::move(cells));
+    }
+    t.print(out);
+}
+
+void
+OutputTable::printCsv(std::ostream &out) const
+{
+    auto line = [&](const auto &cells, auto spell) {
+        std::string l;
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            if (i > 0)
+                l.push_back(',');
+            l += report::CsvWriter::escape(spell(cells[i]));
+        }
+        out << l << "\n";
+    };
+    line(columns_, [](const Column &c) { return c.key; });
+    for (const auto &row : rows_)
+        line(row, [](const Cell &c) { return c.spell(false); });
+}
+
+void
+OutputTable::printMarkdown(std::ostream &out) const
+{
+    auto line = [&](const auto &cells, auto spell) {
+        std::string l = "|";
+        for (const auto &cell : cells) {
+            l += ' ';
+            for (const char ch : spell(cell)) {
+                if (ch == '\n')
+                    l += "<br>";
+                else if (ch == '|')
+                    l += "\\|";
+                else
+                    l += ch;
+            }
+            l += " |";
+        }
+        out << l << "\n";
+    };
+    line(columns_, [](const Column &c) { return c.title; });
+    std::string rule = "|";
+    for (std::size_t i = 0; i < columns_.size(); ++i)
+        rule += "---|";
+    out << rule << "\n";
+    for (const auto &row : rows_)
+        line(row, [](const Cell &c) { return c.spell(true); });
+}
+
+void
+OutputTable::appendJson(std::string &out) const
+{
+    out.push_back('[');
+    for (const auto &row : rows_) {
+        if (out.back() != '[')
+            out.push_back(',');
+        out.push_back('{');
+        for (std::size_t i = 0; i < row.size(); ++i) {
+            if (row[i].absent())
+                continue;
+            if (out.back() != '{')
+                out.push_back(',');
+            obs::json::appendString(out, columns_[i].key);
+            out.push_back(':');
+            row[i].appendJson(out);
+        }
+        out.push_back('}');
+    }
+    out.push_back(']');
+}
+
+bool
+printMachine(std::ostream &out, const std::string &format,
+             const OutputTable *csv, const JsonDocument &json)
+{
+    if (format == "csv" && csv != nullptr) {
+        csv->printCsv(out);
+        return true;
+    }
+    if (format != "json")
+        return false;
+    std::string b = "{";
+    auto member = [&](const std::string &key) {
+        if (b.size() > 1)
+            b.push_back(',');
+        obs::json::appendString(b, key);
+        b.push_back(':');
+    };
+    for (const auto &[key, cell] : json.header) {
+        member(key);
+        cell.appendJson(b);
+    }
+    for (const auto &[key, table] : json.tables) {
+        member(key);
+        table->appendJson(b);
+    }
+    b.push_back('}');
+    out << b << "\n";
+    return true;
+}
+
+namespace
+{
+
+bool
+isDecisionType(const std::string &type)
+{
+    return type.size() > 9 &&
+        type.compare(type.size() - 9, 9, "_decision") == 0;
+}
+
+bool
+isAdjustAction(const std::string &action)
+{
+    return action == "move" || action == "upsize" ||
+        action == "downsize_trial" || action == "sample" ||
+        action == "exploit";
+}
+
+} // namespace
+
+std::size_t
+RunFold::add(const obs::TraceEvent &ev)
+{
+    const std::string tag = ev.str("scenario");
+    auto it = index_.find(tag);
+    if (it == index_.end()) {
+        it = index_.emplace(tag, runs_.size()).first;
+        runs_.emplace_back().scenario = tag;
+    }
+    RunSummary &s = runs_[it->second];
+    const std::string type = ev.type();
+    if (type == "run_start") {
+        s.scheduler = ev.str("scheduler");
+    } else if (type == "epoch") {
+        ++s.epochs;
+        s.finalEs = ev.num("e_s");
+        s.sumEs += s.finalEs;
+    } else if (isDecisionType(type)) {
+        ++s.decisions;
+        const std::string action = ev.str("action");
+        if (type == "arq_decision") {
+            s.adjustments += action == "move";
+            s.rollbacks += action == "rollback";
+            s.bans += ev.has("ban_region");
+        } else if (type == "parties_decision" ||
+                   type == "clite_decision") {
+            s.adjustments += isAdjustAction(action);
+            s.rollbacks +=
+                action == "revert" || action == "re_explore";
+        }
+    } else if (type == "fault") {
+        ++s.faults;
+    } else if (type == "recovery") {
+        ++s.recoveries;
+    } else if (type == "violation") {
+        ++s.violations;
+    } else if (type == "span") {
+        ++s.spanEvents;
+        s.spanCalls += static_cast<long long>(ev.num("count"));
+    } else if (type == "alert_raise" || type == "alert_clear") {
+        if (type == "alert_raise")
+            ++s.alertRaises;
+        else
+            ++s.alertClears;
+        s.worstBurn = std::max(s.worstBurn, ev.num("burn_fast"));
+    } else if (type == "series") {
+        ++s.seriesEvents;
+        if (ev.str("series") == "e_s") {
+            const auto es =
+                summarizeSeries(ev.nums("n"), ev.nums("min"),
+                                ev.nums("max"), ev.nums("sum"));
+            if (es.buckets > 0)
+                s.es = es;
+        }
+    } else {
+        return it->second;
+    }
+    ++s.folded;
+    return it->second;
 }
 
 machine::MachineConfig
@@ -299,7 +557,8 @@ simulationConfigFor(const SimulateOptions &opt)
 }
 
 RunTelemetry::RunTelemetry(const SimulateOptions &opt, Shape shape)
-    : dumpMetrics_(opt.dumpMetrics)
+    : dumpMetrics_(opt.dumpMetrics),
+      flushSpans_(shape.spans != Shape::Spans::Jobs)
 {
     scope.scenario = std::move(shape.scenario);
     if (!opt.tracePath.empty()) {
@@ -317,7 +576,7 @@ RunTelemetry::RunTelemetry(const SimulateOptions &opt, Shape shape)
         scope.metrics = &metrics;
     if (opt.profile) {
         scope.prof = &prof_;
-        scope.wallClock = shape.wallClock;
+        scope.wallClock = shape.spans == Shape::Spans::WallClock;
     }
 }
 
@@ -325,7 +584,7 @@ void
 RunTelemetry::finish(std::ostream &out, const char *profile_title)
 {
     if (scope.profiling()) {
-        if (scope.wallClock)
+        if (flushSpans_)
             prof_.flush(scope);
         out << profile_title << "\n";
         // stdout is not the trace: the tree always shows wall times.

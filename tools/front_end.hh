@@ -8,6 +8,10 @@
  *    trace-reading verbs (trace, timeline, profile, why, alerts,
  *    report, experiment analyze|verdict) open a JSONL trace, check
  *    its schema version, filter it and pick an output format;
+ *  - OutputTable / printMachine, the one way an analysis verb's
+ *    result becomes text, CSV, JSON or Markdown;
+ *  - RunFold, the one per-run fold of a trace that `trace` and
+ *    `report` share;
  *  - machineFor / nodeFor / simulationConfigFor, the one mapping
  *    from SimulateOptions to the inputs of a run;
  *  - RunTelemetry, the one wiring of a run's trace sink, metrics,
@@ -23,12 +27,17 @@
 #define AHQ_TOOLS_FRONT_END_HH
 
 #include <climits>
+#include <concepts>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
+#include <map>
 #include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "cli.hh"
@@ -93,6 +102,13 @@ class FlagScanner
      *         integer)", or "<flag> must be >= <min_v> (got <s>)".
      */
     long long integer(long long min_v = LLONG_MIN);
+
+    /**
+     * value() when it is one of `choices`.
+     * @throws std::invalid_argument "<flag> must be a, b or c (got
+     *         <value>)" otherwise.
+     */
+    std::string oneOf(std::initializer_list<const char *> choices);
 
     /**
      * Mark the current flag as a switch.
@@ -197,6 +213,215 @@ parseTraceArgs(const std::vector<std::string> &args, std::ostream &err,
                const char *usage, bool with_app,
                const std::function<bool(FlagScanner &)> &extra = {});
 
+class OutputTable;
+struct JsonDocument;
+
+/**
+ * One cell of an OutputTable: absent, a string, an integer, a
+ * number or a list of numbers. A cell may carry a display string
+ * that text and Markdown show in place of its value, such as
+ * "(untagged)" for an empty scenario tag.
+ */
+class Cell
+{
+  public:
+    /** Absent: "-" in text and Markdown, empty in CSV, no JSON key. */
+    Cell() = default;
+    Cell(std::string s) : value_(std::move(s)) {}
+    Cell(const char *s) : value_(std::string(s)) {}
+    template <std::integral I>
+    Cell(I v) : value_(static_cast<long long>(v))
+    {
+    }
+    Cell(double v) : value_(v) {}
+    Cell(std::vector<double> v) : value_(std::move(v)) {}
+
+    /** This cell, shown as `text` in text and Markdown. */
+    Cell shown(std::string text) &&
+    {
+        shown_ = std::move(text);
+        return std::move(*this);
+    }
+
+  private:
+    friend class OutputTable;
+    friend bool printMachine(std::ostream &, const std::string &,
+                             const OutputTable *,
+                             const JsonDocument &);
+
+    /**
+     * The text and Markdown spelling (`human`), or the CSV one
+     * before escaping.
+     */
+    std::string spell(bool human) const;
+
+    /** Append the JSON value (the cell must not be absent). */
+    void appendJson(std::string &out) const;
+
+    bool absent() const
+    {
+        return std::holds_alternative<std::monostate>(value_);
+    }
+
+    std::variant<std::monostate, std::string, long long, double,
+                 std::vector<double>>
+        value_;
+    std::optional<std::string> shown_;
+};
+
+/** A scenario tag, shown as scenarioLabel(tag). */
+Cell scenarioCell(const std::string &tag);
+
+/** A string, shown as "-" when empty. */
+Cell orDash(const std::string &s);
+
+/**
+ * A typed result table and its four renderings: the one place an
+ * analysis verb's separators, quoting, escaping and absent-value
+ * spellings live. Columns are declared once, each with a machine
+ * key (CSV header, JSON member name) and a title (text and
+ * Markdown header). Numbers print with 3 decimals in text and
+ * Markdown and in the shortest round-trip form in CSV and JSON.
+ */
+class OutputTable
+{
+  public:
+    struct Column
+    {
+        /** A column whose title is its key. */
+        Column(const char *k) : key(k), title(k) {}
+        Column(std::string k, std::string t)
+            : key(std::move(k)), title(std::move(t))
+        {
+        }
+        std::string key;
+        std::string title;
+    };
+
+    explicit OutputTable(std::vector<Column> columns)
+        : columns_(std::move(columns))
+    {
+    }
+
+    /** Append a row; its cells line up with the columns. */
+    void addRow(std::vector<Cell> row)
+    {
+        rows_.push_back(std::move(row));
+    }
+
+    bool empty() const { return rows_.empty(); }
+
+    /** Aligned text through report::TextTable. */
+    void printText(std::ostream &out) const;
+
+    /**
+     * The keys, then one line per row, each cell escaped by
+     * report::CsvWriter::escape.
+     */
+    void printCsv(std::ostream &out) const;
+
+    /**
+     * A Markdown table: every '|' inside a cell is escaped as "\\|"
+     * and every newline written as "<br>".
+     */
+    void printMarkdown(std::ostream &out) const;
+
+    /** The rows as a JSON array of objects; absent cells add no key. */
+    void appendJson(std::string &out) const;
+
+  private:
+    std::vector<Column> columns_;
+    std::vector<std::vector<Cell>> rows_;
+};
+
+/**
+ * A verb's JSON document, printed as one line: the header members
+ * (such as "v" and "tool"), then one array member per table.
+ */
+struct JsonDocument
+{
+    std::vector<std::pair<std::string, Cell>> header;
+    std::vector<std::pair<std::string, const OutputTable *>> tables;
+};
+
+/**
+ * Print a verb's result in a machine format: the `csv` table for
+ * "csv", the `json` document for "json". Any other format (text,
+ * md) prints nothing and returns false, and the verb lays the
+ * result out itself from the same tables.
+ */
+bool printMachine(std::ostream &out, const std::string &format,
+                  const OutputTable *csv, const JsonDocument &json);
+
+/**
+ * What one trace file says about one run, i.e. one scenario tag:
+ * the per-run fold `ahq trace` and `ahq report` share.
+ */
+struct RunSummary
+{
+    std::string scenario;
+    std::string scheduler;
+    long long epochs = 0;
+    double sumEs = 0.0;
+    double finalEs = 0.0;
+
+    /** `*_decision` events of any scheduler. */
+    long long decisions = 0;
+
+    /**
+     * ARQ moves and PARTIES / CLITE adjusting actions; ARQ
+     * rollbacks and PARTIES / CLITE reverts; ARQ bans.
+     */
+    long long adjustments = 0;
+    long long rollbacks = 0;
+    long long bans = 0;
+
+    long long faults = 0;
+    long long recoveries = 0;
+    long long violations = 0;
+
+    /**
+     * `span` events (what `trace` counts) and the sum of their
+     * `count` fields (what `report` counts).
+     */
+    long long spanEvents = 0;
+    long long spanCalls = 0;
+
+    long long seriesEvents = 0;
+
+    /** The run's folded `e_s` series; es.buckets == 0 when absent. */
+    SeriesSummary es;
+
+    long long alertRaises = 0;
+    long long alertClears = 0;
+
+    /** Worst fast-window burn rate seen at any alert transition. */
+    double worstBurn = 0.0;
+
+    /**
+     * Events of the families above. A tag seen only on other
+     * events (an experiment's own start/block/end events) keeps 0.
+     */
+    long long folded = 0;
+};
+
+/**
+ * Folds one trace file's events into one RunSummary per scenario
+ * tag, in the order the tags first appear.
+ */
+class RunFold
+{
+  public:
+    /** Fold one event into its run; returns the run's index. */
+    std::size_t add(const obs::TraceEvent &ev);
+
+    const std::vector<RunSummary> &runs() const { return runs_; }
+
+  private:
+    std::map<std::string, std::size_t> index_;
+    std::vector<RunSummary> runs_;
+};
+
 /**
  * The machine the options describe: the Xeon E5-2630 v4 with
  * --cores / --ways / --bw available.
@@ -237,13 +462,25 @@ class RunTelemetry
         /** Attach the metrics registry even without a flag. */
         bool metrics = false;
 
-        /**
-         * One run with no --jobs fan-out: spans carry wall-clock
-         * fields, and finish() flushes the profile into the trace.
-         * Fan-out runs keep it off so traces stay byte-identical at
-         * any --jobs (ScenarioRunner jobs flush their own spans).
-         */
-        bool wallClock = false;
+        /** Who writes the run's `span` events into the trace. */
+        enum class Spans
+        {
+            /** ScenarioRunner jobs flush their own (sweep, chaos). */
+            Jobs,
+            /**
+             * finish() flushes the merged per-node profile without
+             * wall-clock fields, so the trace stays byte-identical
+             * at any --jobs (fleet, experiment run).
+             */
+            Merged,
+            /**
+             * One run with no --jobs fan-out: spans carry
+             * wall-clock fields, and finish() flushes them
+             * (simulate).
+             */
+            WallClock,
+        };
+        Spans spans = Spans::Jobs;
     };
 
     RunTelemetry(const SimulateOptions &opt, Shape shape);
@@ -260,6 +497,7 @@ class RunTelemetry
 
   private:
     bool dumpMetrics_;
+    bool flushSpans_;
     std::unique_ptr<obs::FileTraceSink> sink_;
     obs::TimeSeriesRegistry series_;
     obs::SpanProfiler prof_;

@@ -10,14 +10,12 @@
 #include "cli.hh"
 #include "front_end.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <map>
 #include <stdexcept>
 #include <vector>
 
-#include "obs/json.hh"
 #include "obs/trace_reader.hh"
 #include "report/table.hh"
 
@@ -27,335 +25,131 @@ namespace ahq::cli
 namespace
 {
 
-/** Aggregates for one scenario within one trace file. */
-struct RunSummary
+/**
+ * The report's tables, filled while the inputs are read. Runs and
+ * experiments put their columns in another order in Markdown than
+ * in JSON, so each has one table per shape; bench rows share one.
+ */
+struct Report
 {
-    std::string file;
-    std::string scenario;
-    std::string scheduler;
-    long long epochs = 0;
-    double sumEs = 0.0;
-    double finalEs = 0.0;
-    long long decisions = 0;
-    long long spans = 0;
-    long long faults = 0;
+    OutputTable runs{{"file", "scenario", "scheduler", "epochs",
+                      "mean_e_s", "final_e_s", "decisions", "es_min",
+                      "es_max", "es_p99", "spans", "faults",
+                      "alert_raises", "alert_clears", "worst_burn"}};
+    OutputTable runsMd{{"file", "scenario", "scheduler", "epochs",
+                        "mean E_S", "final E_S", "E_S min", "E_S max",
+                        "E_S p99", "decisions", "spans", "faults",
+                        "alerts", "worst burn"}};
+    OutputTable experiments{{"file", "scenario", "verdict",
+                             "blocks_a", "blocks_b", "policy_swaps",
+                             "es_mixed_est", "es_mixed_lo",
+                             "es_mixed_hi", "p95_mixed_est",
+                             "viol_mixed_est"}};
+    OutputTable experimentsMd{{"file", "scenario", "verdict",
+                               "dE_S mixed [95% CI]", "dp95 (ms)",
+                               "dviol rate", "blocks", "swaps"}};
+    OutputTable bench{{"file", "benchmark",
+                       {"wall_ms", "wall (ms)"}, "throughput", "unit",
+                       "config", {"git_rev", "git rev"}}};
 
-    /**
-     * Folded E_S summary from the run's `series` event (the
-     * TimeSeriesRegistry flush); es.buckets == 0 when the trace
-     * carries none.
-     */
-    SeriesSummary es;
-
-    /** SLO alert accounting from alert_raise / alert_clear. */
-    long long alertRaises = 0;
-    long long alertClears = 0;
-
-    /** Worst fast-window burn rate seen at any transition. */
-    double worstBurn = 0.0;
+    void addRun(const std::string &file, const RunSummary &s);
+    void addExperiment(const std::string &file,
+                       const obs::TraceEvent &ev);
+    void addBench(const std::string &file, const obs::TraceEvent &ev);
 };
 
-/** One experiment_end event (an `ahq experiment run` outcome). */
-struct ExperimentEntry
+void
+Report::addRun(const std::string &file, const RunSummary &s)
 {
-    std::string file;
-    std::string scenario;
-    std::string verdict;
-    long long blocksA = 0;
-    long long blocksB = 0;
-    long long policySwaps = 0;
-    double esMixedEst = 0.0;
-    double esMixedLo = 0.0;
-    double esMixedHi = 0.0;
-    double p95MixedEst = 0.0;
-    double violMixedEst = 0.0;
-};
+    const double mean = s.epochs > 0 ? s.sumEs / s.epochs : 0.0;
+    // The e_s series summary, absent when the trace carries none.
+    auto es = [&](double v) { return s.es.buckets > 0 ? Cell(v) : Cell(); };
+    runs.addRow({file, s.scenario, s.scheduler, s.epochs, mean,
+                 s.finalEs, s.decisions, es(s.es.min), es(s.es.max),
+                 es(s.es.p99), s.spanCalls, s.faults, s.alertRaises,
+                 s.alertClears, s.worstBurn});
+    runsMd.addRow(
+        {file, scenarioCell(s.scenario), orDash(s.scheduler),
+         s.epochs, mean, s.finalEs, es(s.es.min), es(s.es.max),
+         es(s.es.p99), s.decisions, s.spanCalls, s.faults,
+         std::to_string(s.alertRaises) + "/" +
+             std::to_string(s.alertClears),
+         s.alertRaises > 0 ? Cell(s.worstBurn) : Cell()});
+}
 
-/** One BENCH_*.json line. */
-struct BenchEntry
+void
+Report::addExperiment(const std::string &file,
+                      const obs::TraceEvent &ev)
 {
-    std::string file;
-    std::string benchmark;
-    double wallMs = 0.0;
-    double throughput = 0.0;
-    std::string unit;
-    std::string config;
-    std::string gitRev;
-};
+    const std::string tag = ev.str("scenario");
+    const auto blocks_a = static_cast<long long>(ev.num("blocks_a"));
+    const auto blocks_b = static_cast<long long>(ev.num("blocks_b"));
+    const auto swaps = static_cast<long long>(ev.num("policy_swaps"));
+    const double est = ev.num("es_mixed_est");
+    const double lo = ev.num("es_mixed_lo");
+    const double hi = ev.num("es_mixed_hi");
+    const double p95 = ev.num("p95_mixed_est");
+    const double viol = ev.num("viol_mixed_est");
+    experiments.addRow({file, tag, ev.str("verdict"), blocks_a,
+                        blocks_b, swaps, est, lo, hi, p95, viol});
+    using report::TextTable;
+    experimentsMd.addRow(
+        {file, scenarioCell(tag), ev.str("verdict"),
+         TextTable::num(est) + " [" + TextTable::num(lo) + ", " +
+             TextTable::num(hi) + "]",
+         p95, viol,
+         std::to_string(blocks_a) + "+" + std::to_string(blocks_b),
+         swaps});
+}
 
-bool
-isDecisionType(const std::string &type)
+void
+Report::addBench(const std::string &file, const obs::TraceEvent &ev)
 {
-    return type.size() > 9 &&
-        type.compare(type.size() - 9, 9, "_decision") == 0;
+    bench.addRow({file, ev.str("benchmark"), ev.num("wall_ms"),
+                  ev.num("throughput"), orDash(ev.str("unit")),
+                  orDash(ev.str("config")), orDash(ev.str("git_rev"))});
 }
 
 /**
- * Scan one input file into the run / bench aggregates.
+ * Scan one input file into the report.
  * @return false after a read error (printed on err).
  */
 bool
-scanInput(const std::string &path, std::ostream &err,
-          std::vector<RunSummary> &runs,
-          std::vector<BenchEntry> &bench,
-          std::vector<ExperimentEntry> &experiments)
+scanInput(const std::string &path, std::ostream &err, Report &report)
 {
-    // (file, scenario) -> index into runs, keeping file order.
-    std::map<std::string, std::size_t> index;
-    return foldTrace(
-        path, err, [&](const obs::TraceEvent &ev, int) {
+    RunFold runs;
+    const bool read = foldTrace(
+        path, err,
+        [&](const obs::TraceEvent &ev, int) {
             const std::string type = ev.type();
-            if (type == "bench") {
-                BenchEntry e;
-                e.file = path;
-                e.benchmark = ev.str("benchmark");
-                e.wallMs = ev.num("wall_ms");
-                e.throughput = ev.num("throughput");
-                e.unit = ev.str("unit");
-                e.config = ev.str("config");
-                e.gitRev = ev.str("git_rev");
-                bench.push_back(std::move(e));
-                return;
-            }
-            if (type == "experiment_end") {
-                ExperimentEntry e;
-                e.file = path;
-                e.scenario = ev.str("scenario");
-                e.verdict = ev.str("verdict");
-                e.blocksA =
-                    static_cast<long long>(ev.num("blocks_a"));
-                e.blocksB =
-                    static_cast<long long>(ev.num("blocks_b"));
-                e.policySwaps = static_cast<long long>(
-                    ev.num("policy_swaps"));
-                e.esMixedEst = ev.num("es_mixed_est");
-                e.esMixedLo = ev.num("es_mixed_lo");
-                e.esMixedHi = ev.num("es_mixed_hi");
-                e.p95MixedEst = ev.num("p95_mixed_est");
-                e.violMixedEst = ev.num("viol_mixed_est");
-                experiments.push_back(std::move(e));
-                return;
-            }
-            const std::string tag = ev.str("scenario");
-            auto it = index.find(tag);
-            if (it == index.end()) {
-                it = index.emplace(tag, runs.size()).first;
-                runs.emplace_back();
-                runs.back().file = path;
-                runs.back().scenario = tag;
-            }
-            RunSummary &s = runs[it->second];
-            if (type == "run_start") {
-                s.scheduler = ev.str("scheduler");
-            } else if (type == "epoch") {
-                ++s.epochs;
-                s.finalEs = ev.num("e_s");
-                s.sumEs += s.finalEs;
-            } else if (type == "span") {
-                s.spans +=
-                    static_cast<long long>(ev.num("count"));
-            } else if (type == "fault") {
-                ++s.faults;
-            } else if (type == "alert_raise" ||
-                       type == "alert_clear") {
-                if (type == "alert_raise")
-                    ++s.alertRaises;
-                else
-                    ++s.alertClears;
-                s.worstBurn = std::max(s.worstBurn,
-                                       ev.num("burn_fast"));
-            } else if (type == "series" &&
-                       ev.str("series") == "e_s") {
-                const auto es =
-                    summarizeSeries(ev.nums("n"), ev.nums("min"),
-                                    ev.nums("max"), ev.nums("sum"));
-                if (es.buckets > 0)
-                    s.es = es;
-            } else if (isDecisionType(type)) {
-                ++s.decisions;
-            }
-        }, nullptr, /*bench_rows=*/true);
+            if (type == "bench")
+                report.addBench(path, ev);
+            else if (type == "experiment_end")
+                report.addExperiment(path, ev);
+            else
+                runs.add(ev);
+        },
+        nullptr, /*bench_rows=*/true);
+    for (const auto &s : runs.runs())
+        report.addRun(path, s);
+    return read;
 }
 
+/** Markdown: one section per non-empty table. */
 void
-emitJson(std::ostream &out, const std::vector<RunSummary> &runs,
-         const std::vector<BenchEntry> &bench,
-         const std::vector<ExperimentEntry> &experiments)
-{
-    std::string b;
-    b += "{\"tool\":\"ahq report\",\"runs\":[";
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        const RunSummary &s = runs[i];
-        if (i > 0)
-            b += ',';
-        b += "{\"file\":";
-        obs::json::appendString(b, s.file);
-        b += ",\"scenario\":";
-        obs::json::appendString(b, s.scenario);
-        b += ",\"scheduler\":";
-        obs::json::appendString(b, s.scheduler);
-        b += ",\"epochs\":";
-        obs::json::appendNumber(b, s.epochs);
-        b += ",\"mean_e_s\":";
-        obs::json::appendNumber(
-            b, s.epochs > 0 ? s.sumEs / s.epochs : 0.0);
-        b += ",\"final_e_s\":";
-        obs::json::appendNumber(b, s.finalEs);
-        b += ",\"decisions\":";
-        obs::json::appendNumber(b, s.decisions);
-        if (s.es.buckets > 0) {
-            b += ",\"es_min\":";
-            obs::json::appendNumber(b, s.es.min);
-            b += ",\"es_max\":";
-            obs::json::appendNumber(b, s.es.max);
-            b += ",\"es_p99\":";
-            obs::json::appendNumber(b, s.es.p99);
-        }
-        b += ",\"spans\":";
-        obs::json::appendNumber(b, s.spans);
-        b += ",\"faults\":";
-        obs::json::appendNumber(b, s.faults);
-        b += ",\"alert_raises\":";
-        obs::json::appendNumber(b, s.alertRaises);
-        b += ",\"alert_clears\":";
-        obs::json::appendNumber(b, s.alertClears);
-        b += ",\"worst_burn\":";
-        obs::json::appendNumber(b, s.worstBurn);
-        b += '}';
-    }
-    b += "],\"experiments\":[";
-    for (std::size_t i = 0; i < experiments.size(); ++i) {
-        const ExperimentEntry &e = experiments[i];
-        if (i > 0)
-            b += ',';
-        b += "{\"file\":";
-        obs::json::appendString(b, e.file);
-        b += ",\"scenario\":";
-        obs::json::appendString(b, e.scenario);
-        b += ",\"verdict\":";
-        obs::json::appendString(b, e.verdict);
-        b += ",\"blocks_a\":";
-        obs::json::appendNumber(b, e.blocksA);
-        b += ",\"blocks_b\":";
-        obs::json::appendNumber(b, e.blocksB);
-        b += ",\"policy_swaps\":";
-        obs::json::appendNumber(b, e.policySwaps);
-        b += ",\"es_mixed_est\":";
-        obs::json::appendNumber(b, e.esMixedEst);
-        b += ",\"es_mixed_lo\":";
-        obs::json::appendNumber(b, e.esMixedLo);
-        b += ",\"es_mixed_hi\":";
-        obs::json::appendNumber(b, e.esMixedHi);
-        b += ",\"p95_mixed_est\":";
-        obs::json::appendNumber(b, e.p95MixedEst);
-        b += ",\"viol_mixed_est\":";
-        obs::json::appendNumber(b, e.violMixedEst);
-        b += '}';
-    }
-    b += "],\"bench\":[";
-    for (std::size_t i = 0; i < bench.size(); ++i) {
-        const BenchEntry &e = bench[i];
-        if (i > 0)
-            b += ',';
-        b += "{\"file\":";
-        obs::json::appendString(b, e.file);
-        b += ",\"benchmark\":";
-        obs::json::appendString(b, e.benchmark);
-        b += ",\"wall_ms\":";
-        obs::json::appendNumber(b, e.wallMs);
-        b += ",\"throughput\":";
-        obs::json::appendNumber(b, e.throughput);
-        b += ",\"unit\":";
-        obs::json::appendString(b, e.unit);
-        b += ",\"config\":";
-        obs::json::appendString(b, e.config);
-        b += ",\"git_rev\":";
-        obs::json::appendString(b, e.gitRev);
-        b += '}';
-    }
-    b += "]}";
-    out << b << "\n";
-}
-
-void
-emitMarkdown(std::ostream &out,
-             const std::vector<RunSummary> &runs,
-             const std::vector<BenchEntry> &bench,
-             const std::vector<ExperimentEntry> &experiments)
+printMarkdown(std::ostream &out, const Report &r)
 {
     out << "# ahq report\n";
-    if (!runs.empty()) {
-        out << "\n## Runs\n\n"
-            << "| file | scenario | scheduler | epochs | mean E_S"
-               " | final E_S | E_S min | E_S max | E_S p99 | "
-               "decisions | spans | faults | alerts | worst burn "
-               "|\n"
-            << "|---|---|---|---|---|---|---|---|---|---|---|"
-               "---|---|---|\n";
-        for (const RunSummary &s : runs) {
-            out << "| " << s.file << " | "
-                << scenarioLabel(s.scenario)
-                << " | " << (s.scheduler.empty() ? "-"
-                                                 : s.scheduler)
-                << " | " << s.epochs << " | "
-                << report::TextTable::num(
-                       s.epochs > 0 ? s.sumEs / s.epochs : 0.0)
-                << " | " << report::TextTable::num(s.finalEs)
-                << " | "
-                << (s.es.buckets > 0
-                        ? report::TextTable::num(s.es.min) : "-")
-                << " | "
-                << (s.es.buckets > 0
-                        ? report::TextTable::num(s.es.max) : "-")
-                << " | "
-                << (s.es.buckets > 0
-                        ? report::TextTable::num(s.es.p99) : "-")
-                << " | " << s.decisions << " | " << s.spans
-                << " | " << s.faults << " | " << s.alertRaises
-                << "/" << s.alertClears << " | "
-                << (s.alertRaises > 0
-                        ? report::TextTable::num(s.worstBurn)
-                        : "-")
-                << " |\n";
-        }
+    for (const auto &[title, table] :
+         {std::pair{"Runs", &r.runsMd},
+          std::pair{"Experiments", &r.experimentsMd},
+          std::pair{"Benchmarks", &r.bench}}) {
+        if (table->empty())
+            continue;
+        out << "\n## " << title << "\n\n";
+        table->printMarkdown(out);
     }
-    if (!experiments.empty()) {
-        out << "\n## Experiments\n\n"
-            << "| file | scenario | verdict | dE_S mixed "
-               "[95% CI] | dp95 (ms) | dviol rate | blocks | "
-               "swaps |\n"
-            << "|---|---|---|---|---|---|---|---|\n";
-        for (const ExperimentEntry &e : experiments) {
-            out << "| " << e.file << " | "
-                << scenarioLabel(e.scenario)
-                << " | " << e.verdict << " | "
-                << report::TextTable::num(e.esMixedEst) << " ["
-                << report::TextTable::num(e.esMixedLo) << ", "
-                << report::TextTable::num(e.esMixedHi) << "] | "
-                << report::TextTable::num(e.p95MixedEst)
-                << " | "
-                << report::TextTable::num(e.violMixedEst)
-                << " | " << e.blocksA << "+" << e.blocksB
-                << " | " << e.policySwaps << " |\n";
-        }
-    }
-    if (!bench.empty()) {
-        out << "\n## Benchmarks\n\n"
-            << "| file | benchmark | wall (ms) | throughput | "
-               "unit | config | git rev |\n"
-            << "|---|---|---|---|---|---|---|\n";
-        for (const BenchEntry &e : bench) {
-            out << "| " << e.file << " | " << e.benchmark
-                << " | " << report::TextTable::num(e.wallMs)
-                << " | "
-                << report::TextTable::num(e.throughput) << " | "
-                << (e.unit.empty() ? "-" : e.unit) << " | "
-                << (e.config.empty() ? "-" : e.config) << " | "
-                << (e.gitRev.empty() ? "-" : e.gitRev)
-                << " |\n";
-        }
-    }
-    if (runs.empty() && bench.empty() && experiments.empty())
+    if (r.runsMd.empty() && r.experimentsMd.empty() && r.bench.empty())
         out << "\n(no runs or benchmarks in the inputs)\n";
 }
 
@@ -393,12 +187,7 @@ runReport(const std::vector<std::string> &args, std::ostream &out,
         while (s.next()) {
             const std::string &a = s.name();
             if (a == "--format") {
-                format = s.value();
-                if (format != "json" && format != "md") {
-                    throw std::invalid_argument(
-                        "--format must be json or md (got " + format +
-                        ")");
-                }
+                format = s.oneOf({"json", "md"});
             } else if (a == "-o" || a == "--output") {
                 outPath = s.value();
             } else if (s.isFlag()) {
@@ -417,11 +206,9 @@ runReport(const std::vector<std::string> &args, std::ostream &out,
         return 2;
     }
 
-    std::vector<RunSummary> runs;
-    std::vector<BenchEntry> bench;
-    std::vector<ExperimentEntry> experiments;
+    Report report;
     for (const auto &path : inputs) {
-        if (!scanInput(path, err, runs, bench, experiments))
+        if (!scanInput(path, err, report))
             return 1;
     }
 
@@ -434,10 +221,12 @@ runReport(const std::vector<std::string> &args, std::ostream &out,
         }
     }
     std::ostream &dst = outPath.empty() ? out : file;
-    if (format == "json")
-        emitJson(dst, runs, bench, experiments);
-    else
-        emitMarkdown(dst, runs, bench, experiments);
+    if (!printMachine(dst, format, nullptr,
+                      {{{"tool", "ahq report"}},
+                       {{"runs", &report.runs},
+                        {"experiments", &report.experiments},
+                        {"bench", &report.bench}}}))
+        printMarkdown(dst, report);
     if (!outPath.empty())
         out << "report written to " << outPath << "\n";
     return 0;

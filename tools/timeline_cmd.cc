@@ -18,7 +18,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/json.hh"
 #include "obs/scope.hh"
 #include "report/table.hh"
 
@@ -33,7 +32,6 @@ struct SeriesData
 {
     long long stride = 1;
     long long epochs = 0;
-    long long capacity = 0;
     long long points = 0;
     std::vector<double> n, min, max, sum;
 
@@ -195,8 +193,6 @@ runTimeline(const std::vector<std::string> &args, std::ostream &out,
                 d.stride = static_cast<long long>(
                     ev.num("stride", 1.0));
                 d.epochs = static_cast<long long>(ev.num("epochs"));
-                d.capacity =
-                    static_cast<long long>(ev.num("capacity"));
                 d.points = static_cast<long long>(ev.num("points"));
                 d.n = ev.nums("n");
                 d.min = ev.nums("min");
@@ -242,100 +238,39 @@ runTimeline(const std::vector<std::string> &args, std::ostream &out,
         return 1;
     }
 
-    if (opt->format == "csv") {
-        out << "scenario,series,bucket,epoch_lo,stride,count,min,"
-               "max,mean\n";
-        for (const auto &[key, d] : data) {
-            for (std::size_t i = 0; i < d.buckets(); ++i) {
-                out << key.first << "," << key.second << "," << i
-                    << "," << (static_cast<long long>(i) * d.stride)
-                    << "," << d.stride << ","
-                    << static_cast<long long>(d.n[i]);
-                if (d.n[i] > 0) {
-                    std::string cells;
-                    cells.push_back(',');
-                    obs::json::appendNumber(cells, d.min[i]);
-                    cells.push_back(',');
-                    obs::json::appendNumber(cells, d.max[i]);
-                    cells.push_back(',');
-                    obs::json::appendNumber(cells,
-                                      d.sum[i] / d.n[i]);
-                    out << cells;
-                } else {
-                    out << ",,,";
-                }
-                out << "\n";
-            }
+    OutputTable buckets({"scenario", "series", "bucket", "epoch_lo",
+                         "stride", "count", "min", "max", "mean"});
+    OutputTable series({"scenario", "series", "stride", "epochs",
+                        "points", "n", "min", "max", "sum"});
+    for (const auto &[key, d] : data) {
+        for (std::size_t i = 0; i < d.buckets(); ++i) {
+            const bool any = d.n[i] > 0;
+            buckets.addRow(
+                {key.first, key.second, i,
+                 static_cast<long long>(i) * d.stride, d.stride,
+                 static_cast<long long>(d.n[i]),
+                 any ? Cell(d.min[i]) : Cell(),
+                 any ? Cell(d.max[i]) : Cell(),
+                 any ? Cell(d.sum[i] / d.n[i]) : Cell()});
         }
-        if (stats.unknownEvents > 0) {
-            err << "note: " << stats.unknownEvents
-                << " unknown event(s) ignored\n";
-        }
-        return 0;
+        series.addRow({key.first, key.second, d.stride, d.epochs,
+                       d.points, d.n, d.min, d.max, d.sum});
     }
-
-    if (opt->format == "json") {
-        std::string buf;
-        buf += "{\"v\":1,\"series\":[";
-        bool first = true;
-        for (const auto &[key, d] : data) {
-            if (!first)
-                buf.push_back(',');
-            first = false;
-            buf += "{\"scenario\":";
-            obs::json::appendString(buf, key.first);
-            buf += ",\"series\":";
-            obs::json::appendString(buf, key.second);
-            buf += ",\"stride\":";
-            obs::json::appendNumber(buf, d.stride);
-            buf += ",\"epochs\":";
-            obs::json::appendNumber(buf, d.epochs);
-            buf += ",\"points\":";
-            obs::json::appendNumber(buf, d.points);
-            auto arr = [&](const char *name,
-                           const std::vector<double> &vals) {
-                buf += ",\"";
-                buf += name;
-                buf += "\":[";
-                for (std::size_t i = 0; i < vals.size(); ++i) {
-                    if (i)
-                        buf.push_back(',');
-                    obs::json::appendNumber(buf, vals[i]);
-                }
-                buf.push_back(']');
-            };
-            arr("n", d.n);
-            arr("min", d.min);
-            arr("max", d.max);
-            arr("sum", d.sum);
-            buf.push_back('}');
+    OutputTable marks({"scenario", "type", "epoch"});
+    for (const auto &[scenario, m] : markers) {
+        const std::pair<const std::set<int> *, const char *> kinds[] = {
+            {&m.faults, "fault"},
+            {&m.recoveries, "recovery"},
+            {&m.violations, "violation"},
+            {&m.alerts, "alert_raise"}};
+        for (const auto &[epochs, kind] : kinds) {
+            for (int e : *epochs)
+                marks.addRow({scenario, kind, e});
         }
-        buf += "],\"markers\":[";
-        first = true;
-        for (const auto &[scenario, m] : markers) {
-            auto list = [&](const std::set<int> &epochs,
-                            const char *kind) {
-                for (int e : epochs) {
-                    if (!first)
-                        buf.push_back(',');
-                    first = false;
-                    buf += "{\"scenario\":";
-                    obs::json::appendString(buf, scenario);
-                    buf += ",\"type\":";
-                    obs::json::appendString(buf, kind);
-                    buf += ",\"epoch\":";
-                    obs::json::appendNumber(
-                        buf, static_cast<long long>(e));
-                    buf.push_back('}');
-                }
-            };
-            list(m.faults, "fault");
-            list(m.recoveries, "recovery");
-            list(m.violations, "violation");
-            list(m.alerts, "alert_raise");
-        }
-        buf += "]}";
-        out << buf << "\n";
+    }
+    if (printMachine(out, opt->format, &buckets,
+                     {{{"v", 1}},
+                      {{"series", &series}, {"markers", &marks}}})) {
         if (stats.unknownEvents > 0) {
             err << "note: " << stats.unknownEvents
                 << " unknown event(s) ignored\n";

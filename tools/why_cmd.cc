@@ -16,7 +16,6 @@
 #include <algorithm>
 
 #include "obs/attribution.hh"
-#include "obs/json.hh"
 #include "obs/scope.hh"
 #include "report/table.hh"
 
@@ -69,46 +68,16 @@ runWhy(const std::vector<std::string> &args, std::ostream &out,
         return 1;
     }
 
-    const auto rows = blameRows(ledger, top);
-
-    if (opt->format == "csv") {
-        out << "victim,culprit,resource,share,epochs\n";
-        for (const auto &r : rows) {
-            std::string line = r.victim + "," + r.culprit + "," +
-                r.resource + ",";
-            obs::json::appendNumber(line, r.share);
-            out << line << "," << r.epochs << "\n";
-        }
+    const OutputTable table = blameTable(ledger, top);
+    if (printMachine(out, opt->format, &table,
+                     {{{"v", 1}, {"tool", "ahq why"}},
+                      {{"rows", &table}}}))
         return 0;
-    }
-
-    if (opt->format == "json") {
-        std::string b;
-        b += "{\"v\":1,\"tool\":\"ahq why\",\"rows\":[";
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            if (i > 0)
-                b.push_back(',');
-            b += "{\"victim\":";
-            obs::json::appendString(b, rows[i].victim);
-            b += ",\"culprit\":";
-            obs::json::appendString(b, rows[i].culprit);
-            b += ",\"resource\":";
-            obs::json::appendString(b, rows[i].resource);
-            b += ",\"share\":";
-            obs::json::appendNumber(b, rows[i].share);
-            b += ",\"epochs\":";
-            obs::json::appendNumber(b, rows[i].epochs);
-            b.push_back('}');
-        }
-        b += "]}";
-        out << b << "\n";
-        return 0;
-    }
 
     out << opt->path << ": " << events
         << " attribution event(s) (schema v" << obs::kSchemaVersion
         << ")\n";
-    printBlameTable(out, ledger, top);
+    table.printText(out);
     // Per-victim totals: each victim's row sums its per-epoch R_i
     // over the attributed epochs — the conservation the ledger
     // carries by construction.
