@@ -20,11 +20,16 @@ using namespace ahq::bench;
 namespace
 {
 
+/**
+ * One ablation run. A ScenarioJob names its scheduler, not an
+ * ArqConfig, so the variant runs directly, traced under its name.
+ */
 cluster::SimulationResult
-runArq(const sched::ArqConfig &arq_cfg,
-       const cluster::SimulationConfig &sim_cfg)
+runArq(const std::string &variant, const sched::ArqConfig &arq_cfg,
+       cluster::SimulationConfig sim_cfg)
 {
     const auto node = canonicalNode(0.7, 0.2, 0.2, apps::stream());
+    sim_cfg.obs = benchScope().tagged(variant);
     sched::Arq sched(arq_cfg);
     cluster::EpochSimulator sim(node, sim_cfg);
     return sim.run(sched);
@@ -46,7 +51,9 @@ main()
                          "violations"});
 
     auto report_row = [&](const std::string &name,
-                          const cluster::SimulationResult &r) {
+                          const sched::ArqConfig &arq_cfg,
+                          const cluster::SimulationConfig &sim_cfg) {
+        const auto r = runArq(name, arq_cfg, sim_cfg);
         t.addRow({name, num(r.meanELc), num(r.meanEBe),
                   num(r.meanES), num(r.yieldValue, 2),
                   std::to_string(r.violations)});
@@ -56,21 +63,21 @@ main()
     };
 
     // Baseline.
-    report_row("ARQ (paper defaults)",
-               runArq(sched::ArqConfig{}, standardConfig()));
+    report_row("ARQ (paper defaults)", sched::ArqConfig{},
+               standardConfig());
 
     // No shared region: degenerate full isolation.
     {
         sched::ArqConfig c;
         c.sharedRegionEnabled = false;
-        report_row("no shared region", runArq(c, standardConfig()));
+        report_row("no shared region", c, standardConfig());
     }
 
     // No rollback / penalty ban.
     {
         sched::ArqConfig c;
         c.rollbackEnabled = false;
-        report_row("no E_S rollback", runArq(c, standardConfig()));
+        report_row("no E_S rollback", c, standardConfig());
     }
 
     // RI sweep.
@@ -79,7 +86,7 @@ main()
         c.relativeImportance = ri;
         auto sim_cfg = standardConfig();
         sim_cfg.ri = ri; // measured E_S uses the same weighting
-        report_row("RI = " + num(ri, 2), runArq(c, sim_cfg));
+        report_row("RI = " + num(ri, 2), c, sim_cfg);
     }
 
     // Monitoring interval sweep (the epoch is the interval).
@@ -89,7 +96,7 @@ main()
         sim_cfg.warmupEpochs =
             static_cast<int>(60.0 / interval);
         report_row("interval = " + num(interval, 2) + " s",
-                   runArq(sched::ArqConfig{}, sim_cfg));
+                   sched::ArqConfig{}, sim_cfg);
     }
 
     t.print(std::cout);

@@ -6,6 +6,7 @@
 #include "common.hh"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -14,9 +15,7 @@
 #include <stdexcept>
 #include <sys/stat.h>
 
-#include "exec/jobs.hh"
 #include "obs/json.hh"
-#include "sched/registry.hh"
 
 namespace ahq::bench
 {
@@ -36,24 +35,12 @@ outputDir()
     return dir;
 }
 
-exec::ThreadPool &
-pool()
-{
-    return exec::globalPool();
-}
-
 std::unique_ptr<report::CsvWriter>
 openCsv(const std::string &filename,
         const std::vector<std::string> &header)
 {
     return std::make_unique<report::CsvWriter>(
         outputDir() + "/" + filename, header);
-}
-
-std::unique_ptr<sched::Scheduler>
-makeScheduler(const std::string &name)
-{
-    return sched::makeScheduler(name);
 }
 
 obs::Scope
@@ -87,14 +74,6 @@ allStrategies()
     return v;
 }
 
-const std::vector<std::string> &
-managedStrategies()
-{
-    static const std::vector<std::string> v{"PARTIES", "CLITE",
-                                            "ARQ"};
-    return v;
-}
-
 cluster::SimulationConfig
 standardConfig()
 {
@@ -106,21 +85,24 @@ standardConfig()
     return c;
 }
 
-cluster::SimulationResult
-runScenario(const std::string &strategy, const cluster::Node &node,
-            const cluster::SimulationConfig &cfg)
-{
-    const auto sched = makeScheduler(strategy);
-    cluster::EpochSimulator sim(node, cfg);
-    return sim.run(*sched);
-}
-
 std::vector<cluster::SimulationResult>
 runScenarios(const std::vector<exec::ScenarioJob> &jobs)
 {
-    exec::ScenarioRunner runner(&pool());
+    exec::ScenarioRunner runner;
     runner.setObsScope(benchScope());
     return runner.run(jobs);
+}
+
+std::vector<cluster::SimulationResult>
+runStrategies(const std::vector<std::string> &strategies,
+              const cluster::Node &node,
+              const cluster::SimulationConfig &cfg,
+              const std::string &tag_prefix)
+{
+    std::vector<exec::ScenarioJob> jobs;
+    for (const auto &s : strategies)
+        jobs.push_back({s, node, cfg, tag_prefix + s});
+    return runScenarios(jobs);
 }
 
 cluster::Node
@@ -136,10 +118,10 @@ canonicalNode(double xapian_load, double moses_load,
 }
 
 cluster::Node
-eightAppNode()
+eightAppNode(const machine::MachineConfig &mc)
 {
     return cluster::Node(
-        machine::MachineConfig::xeonE52630v4(),
+        mc,
         {cluster::lcAt(apps::moses(), 0.2),
          cluster::lcAt(apps::xapian(), 0.2),
          cluster::lcAt(apps::imgDnn(), 0.2),
@@ -150,29 +132,16 @@ eightAppNode()
          cluster::be(apps::streamcluster())});
 }
 
-core::EntropyCurve
-entropyVsCores(const std::string &strategy,
-               const std::vector<int> &core_counts, int ways,
-               const apps::AppProfile &be_app, double xapian_load)
+exec::ScenarioJob
+resourceJob(const std::string &strategy, int cores, int ways)
 {
-    std::vector<exec::ScenarioJob> jobs;
-    for (int cores : core_counts) {
-        const auto mc = machine::MachineConfig::xeonE52630v4()
-                            .withAvailable(cores, ways, 10);
-        jobs.push_back({strategy,
-                        canonicalNode(xapian_load, 0.2, 0.2,
-                                      be_app, mc),
-                        standardConfig(),
-                        strategy + "@" + std::to_string(cores) +
-                            "c"});
-    }
-    const auto results = bench::runScenarios(jobs);
-    core::EntropyCurve curve;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        curve.push_back({static_cast<double>(core_counts[i]),
-                         results[i].meanES});
-    }
-    return curve;
+    const auto mc = machine::MachineConfig::xeonE52630v4()
+                        .withAvailable(cores, ways, 10);
+    return {strategy,
+            canonicalNode(0.2, 0.2, 0.2, apps::fluidanimate(), mc),
+            standardConfig(),
+            strategy + "@" + std::to_string(cores) + "c" +
+                std::to_string(ways) + "w"};
 }
 
 double
@@ -224,16 +193,6 @@ num(double v, int precision)
     return report::TextTable::num(v, precision);
 }
 
-std::string
-gitRev()
-{
-#ifdef AHQ_GIT_REV
-    return AHQ_GIT_REV;
-#else
-    return "unknown";
-#endif
-}
-
 BenchArgs
 parseBenchArgs(int argc, char **argv, const std::string &name)
 {
@@ -283,7 +242,9 @@ BenchJsonWriter::add(const std::string &benchmark, double wall_ms,
     b += ",\"config\":";
     obs::json::appendString(b, config);
     b += ",\"git_rev\":";
-    obs::json::appendString(b, gitRev());
+    // The revision CMake configured from ("unknown" outside a
+    // checkout), so bench_diff can name what regressed.
+    obs::json::appendString(b, AHQ_GIT_REV);
     b += '}';
     lines_.push_back(std::move(b));
 }
@@ -302,7 +263,22 @@ BenchJsonWriter::~BenchJsonWriter()
     std::cout << "perf trajectory written to " << path_ << "\n";
 }
 
-void
+const cluster::SimulationResult &
+LoadSweep::at(double fixed, double load,
+              const std::string &strategy) const
+{
+    const auto index = [](const auto &v, const auto &x) {
+        const auto it = std::find(v.begin(), v.end(), x);
+        assert(it != v.end());
+        return static_cast<std::size_t>(it - v.begin());
+    };
+    const auto &strategies = allStrategies();
+    return results[(index(fixedLoads, fixed) * loads.size() +
+                    index(loads, load)) * strategies.size() +
+                   index(strategies, strategy)];
+}
+
+LoadSweep
 loadSweepFigure(const std::string &fig_name,
                 const apps::AppProfile &primary,
                 const apps::AppProfile &secondary_a,
@@ -314,12 +290,13 @@ loadSweepFigure(const std::string &fig_name,
                         "strategy", "e_lc", "e_be", "e_s", "yield",
                         "p95_primary", "p95_a", "p95_b", "be_ipc"});
 
-    const std::vector<double> sweep{0.1, 0.3, 0.5, 0.7, 0.9};
-    const std::vector<double> fixed_loads{0.2, 0.4};
+    LoadSweep grid{{0.2, 0.4}, {0.1, 0.3, 0.5, 0.7, 0.9}, {}};
+    const std::vector<double> &fixed_loads = grid.fixedLoads;
+    const std::vector<double> &sweep = grid.loads;
 
     // Simulate the whole (fixed, load, strategy) grid as one batch
     // across the pool, then render in the original order.
-    std::vector<exec::ScenarioJob> grid;
+    std::vector<exec::ScenarioJob> jobs;
     for (double fixed : fixed_loads) {
         for (double load : sweep) {
             cluster::Node node(
@@ -329,14 +306,15 @@ loadSweepFigure(const std::string &fig_name,
                  cluster::lcAt(secondary_b, fixed),
                  cluster::be(be_app)});
             for (const auto &s : allStrategies()) {
-                grid.push_back({s, node, standardConfig(),
+                jobs.push_back({s, node, standardConfig(),
                                 fig_name + "/" + s + "@" +
                                     num(fixed * 100, 0) + "-" +
                                     num(load * 100, 0)});
             }
         }
     }
-    const auto results = bench::runScenarios(grid);
+    grid.results = runScenarios(jobs);
+    const auto &results = grid.results;
 
     std::size_t ji = 0;
     for (double fixed : fixed_loads) {
@@ -387,6 +365,7 @@ loadSweepFigure(const std::string &fig_name,
                               secondary_b.name + " at " +
                               num(fixed * 100, 0) + "%)");
     }
+    return grid;
 }
 
 } // namespace ahq::bench

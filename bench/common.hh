@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared plumbing for the table/figure-reproducing bench binaries:
- * standard colocations, strategy registry, scenario runner and CSV
+ * standard colocations, the one scenario-batch run path and CSV
  * output location.
  */
 
@@ -17,7 +17,6 @@
 #include "cluster/epoch_sim.hh"
 #include "core/equivalence.hh"
 #include "exec/scenario_runner.hh"
-#include "exec/thread_pool.hh"
 #include "obs/scope.hh"
 #include "report/ascii_chart.hh"
 #include "report/csv.hh"
@@ -38,12 +37,6 @@ namespace ahq::bench
  */
 std::string outputDir();
 
-/**
- * The bench-wide thread pool: AHQ_JOBS threads, defaulting to the
- * hardware concurrency. All batch helpers below fan out on it.
- */
-exec::ThreadPool &pool();
-
 /** Open a CSV in the output directory ("fig08.csv" etc.). */
 std::unique_ptr<report::CsvWriter>
 openCsv(const std::string &filename,
@@ -58,15 +51,8 @@ openCsv(const std::string &filename,
  */
 obs::Scope benchScope();
 
-/** Factory for a named strategy: one fresh instance per run. */
-std::unique_ptr<sched::Scheduler>
-makeScheduler(const std::string &name);
-
 /** The strategy names in the paper's presentation order. */
 const std::vector<std::string> &allStrategies();
-
-/** The managed strategies (PARTIES, CLITE, ARQ). */
-const std::vector<std::string> &managedStrategies();
 
 /**
  * The standard simulation configuration used by the Section VI
@@ -75,23 +61,26 @@ const std::vector<std::string> &managedStrategies();
 cluster::SimulationConfig standardConfig();
 
 /**
- * Run one strategy on one node and return the aggregates.
- *
- * @param strategy Strategy name (see allStrategies()).
- * @param node The colocation.
- * @param cfg Simulation configuration.
- */
-cluster::SimulationResult
-runScenario(const std::string &strategy, const cluster::Node &node,
-            const cluster::SimulationConfig &cfg);
-
-/**
- * Batch counterpart of runScenario(): fan the jobs across pool()
- * and return results in job order, bitwise identical to running
- * each job serially (each job carries its own seed).
+ * The one way a figure simulates: fan the tagged jobs across the
+ * global pool (AHQ_JOBS threads) under benchScope(), and return
+ * results in job order, bitwise identical to running each job
+ * serially (each job carries its own seed). With AHQ_TRACE set,
+ * every job writes its scenario_start/run/scenario_end events,
+ * flushed in job order, so the trace is byte-identical at any
+ * AHQ_JOBS.
  */
 std::vector<cluster::SimulationResult>
 runScenarios(const std::vector<exec::ScenarioJob> &jobs);
+
+/**
+ * runScenarios() over each strategy once on one node, tagged
+ * `<tag_prefix><strategy>`; results in strategy order.
+ */
+std::vector<cluster::SimulationResult>
+runStrategies(const std::vector<std::string> &strategies,
+              const cluster::Node &node,
+              const cluster::SimulationConfig &cfg,
+              const std::string &tag_prefix = "");
 
 /** The paper's canonical 3-LC colocation plus a chosen BE app. */
 cluster::Node
@@ -104,14 +93,17 @@ canonicalNode(double xapian_load, double moses_load,
  * Fig. 12's 6 LC + 2 BE colocation: Moses, Xapian, Img-dnn, Sphinx,
  * Masstree and Silo at 20% load with Fluidanimate and Streamcluster.
  */
-cluster::Node eightAppNode();
+cluster::Node
+eightAppNode(const machine::MachineConfig &mc =
+                 machine::MachineConfig::xeonE52630v4());
 
-/** Sweep helper: E_S as a function of available cores. */
-core::EntropyCurve
-entropyVsCores(const std::string &strategy,
-               const std::vector<int> &core_counts, int ways,
-               const apps::AppProfile &be_app,
-               double xapian_load = 0.2);
+/**
+ * The Fig. 2/3 and Table II scenario: the canonical node at 20% load
+ * with Fluidanimate, given `cores` cores and `ways` LLC ways, tagged
+ * `<strategy>@<cores>c<ways>w`.
+ */
+exec::ScenarioJob resourceJob(const std::string &strategy, int cores,
+                              int ways);
 
 /** Wall seconds of one call of fn. */
 double secondsOnce(const std::function<void()> &fn);
@@ -138,13 +130,6 @@ double medianPairedRatio(const std::function<void()> &off,
 
 /** Format a double for tables (shortcut). */
 std::string num(double v, int precision = 3);
-
-/**
- * The git revision the bench binary was configured from (the
- * AHQ_GIT_REV compile definition; "unknown" outside a checkout) —
- * stamped into BENCH_*.json so bench_diff can name what regressed.
- */
-std::string gitRev();
 
 /** Parsed perf-trajectory flags for a bench main(). */
 struct BenchArgs
@@ -203,12 +188,30 @@ class BenchJsonWriter
     std::vector<std::string> lines_;
 };
 
+/** The simulated grid of a loadSweepFigure(). */
+struct LoadSweep
+{
+    /** Fixed secondary loads, in grid order. */
+    std::vector<double> fixedLoads;
+
+    /** Primary loads, in grid order. */
+    std::vector<double> loads;
+
+    /** One result per (fixed, load, allStrategies()) cell. */
+    std::vector<cluster::SimulationResult> results;
+
+    /** The cell of one grid point (values as listed above). */
+    const cluster::SimulationResult &
+    at(double fixed, double load, const std::string &strategy) const;
+};
+
 /**
  * The Section VI-A load-sweep figure shape shared by Figs. 8, 9 and
  * 11: one primary LC app sweeps 10-90% load while two secondary LC
  * apps sit at a fixed load (20%, then 40%), colocated with one BE
  * app; every strategy reports E_LC / E_BE / E_S plus tail latencies
- * and BE IPC.
+ * and BE IPC. Returns the grid, so a figure's summary reads its
+ * runs instead of simulating them again.
  *
  * @param fig_name Short name for headings and the CSV file.
  * @param primary The sweeping LC app.
@@ -216,11 +219,11 @@ class BenchJsonWriter
  * @param secondary_b Second fixed-load LC app.
  * @param be_app The BE app.
  */
-void loadSweepFigure(const std::string &fig_name,
-                     const apps::AppProfile &primary,
-                     const apps::AppProfile &secondary_a,
-                     const apps::AppProfile &secondary_b,
-                     const apps::AppProfile &be_app);
+LoadSweep loadSweepFigure(const std::string &fig_name,
+                          const apps::AppProfile &primary,
+                          const apps::AppProfile &secondary_a,
+                          const apps::AppProfile &secondary_b,
+                          const apps::AppProfile &be_app);
 
 } // namespace ahq::bench
 

@@ -79,7 +79,10 @@ main(int argc, char **argv)
                    const std::string &strategy,
                    const std::string &config) {
         const double s = secondsOfN([&] {
-            const auto r = runScenario(strategy, n, c);
+            // The timed unit: a fresh scheduler and simulator, run on
+            // this thread.
+            const auto r = cluster::EpochSimulator(n, c).run(
+                *sched::makeScheduler(strategy));
             if (r.epochs.empty())
                 std::cerr << "empty run\n"; // keep r observable
         });
@@ -143,7 +146,8 @@ main(int argc, char **argv)
         auto timeOne = [&](const cluster::SimulationConfig &c,
                            double &best) {
             best = std::min(best, secondsOnce([&] {
-                const auto r = runScenario("ARQ", node, c);
+                const auto r = cluster::EpochSimulator(node, c).run(
+                    *sched::makeScheduler("ARQ"));
                 if (r.epochs.empty())
                     std::cerr << "empty run\n";
             }));

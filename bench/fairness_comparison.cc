@@ -80,32 +80,24 @@ main()
     for (double load : {0.3, 0.7}) {
         const auto node = canonicalNode(load, 0.2, 0.2,
                                         apps::stream());
-        struct Entry
-        {
-            const char *name;
-            cluster::SimulationResult res;
-        };
-        std::vector<Entry> entries;
-        entries.push_back(
-            {"CoPart",
-             runScenario("CoPart", node, standardConfig())});
-        entries.push_back(
-            {"PARTIES",
-             runScenario("PARTIES", node, standardConfig())});
-        entries.push_back(
-            {"ARQ", runScenario("ARQ", node, standardConfig())});
+        const std::vector<std::string> strategies{"CoPart",
+                                                  "PARTIES", "ARQ"};
+        const auto results =
+            runStrategies(strategies, node, standardConfig(),
+                          "xapian=" + num(load, 1) + "/");
 
-        for (const auto &e : entries) {
-            const auto f = fairnessOf(node, e.res);
-            t.addRow({num(load * 100, 0) + "%", e.name,
+        for (std::size_t s = 0; s < strategies.size(); ++s) {
+            const auto &res = results[s];
+            const auto f = fairnessOf(node, res);
+            t.addRow({num(load * 100, 0) + "%", strategies[s],
                       num(f.maxSlowdown, 2) + " / " +
                           num(f.minSlowdown, 2),
-                      num(f.jain), num(e.res.meanES),
-                      num(e.res.yieldValue, 2)});
-            csv->addRow({num(load, 2), e.name,
+                      num(f.jain), num(res.meanES),
+                      num(res.yieldValue, 2)});
+            csv->addRow({num(load, 2), strategies[s],
                          num(f.maxSlowdown), num(f.minSlowdown),
-                         num(f.jain), num(e.res.meanES),
-                         num(e.res.yieldValue, 3)});
+                         num(f.jain), num(res.meanES),
+                         num(res.yieldValue, 3)});
         }
     }
     t.print(std::cout);

@@ -24,7 +24,18 @@ main()
     auto csv = openCsv("fig02.csv",
                        {"strategy", "cores", "ways", "e_s"});
 
-    for (const std::string strategy : {"Unmanaged", "ARQ"}) {
+    const std::vector<std::string> strategies{"Unmanaged", "ARQ"};
+    std::vector<exec::ScenarioJob> jobs;
+    for (const auto &strategy : strategies) {
+        for (int c : cores) {
+            for (int w : ways)
+                jobs.push_back(resourceJob(strategy, c, w));
+        }
+    }
+    const auto results = runScenarios(jobs);
+
+    auto next = results.begin();
+    for (const auto &strategy : strategies) {
         report::TextTable t({"cores \\ ways", "4", "8", "12", "16",
                              "20"});
         std::vector<std::vector<double>> grid;
@@ -33,13 +44,7 @@ main()
             std::vector<std::string> row{std::to_string(c)};
             std::vector<double> grow;
             for (int w : ways) {
-                const auto mc =
-                    machine::MachineConfig::xeonE52630v4()
-                        .withAvailable(c, w, 10);
-                const auto node = canonicalNode(
-                    0.2, 0.2, 0.2, apps::fluidanimate(), mc);
-                const auto res = runScenario(strategy, node,
-                                             standardConfig());
+                const auto &res = *next++;
                 row.push_back(num(res.meanES));
                 grow.push_back(res.meanES);
                 csv->addRow({strategy, std::to_string(c),

@@ -20,15 +20,36 @@ int
 main()
 {
     const std::vector<int> cores{4, 5, 6, 7, 8, 9, 10};
+    const std::vector<int> ways{4, 6, 8, 10, 12, 16, 20};
+    const std::vector<std::string> strategies{
+        "Unmanaged", "PARTIES", "CLITE", "ARQ"};
+
+    // One batch: E_S vs cores for every (ways, strategy) pair of
+    // (b); (a) reads the 20-way Unmanaged and ARQ curves from it.
+    std::vector<exec::ScenarioJob> jobs;
+    for (int w : ways) {
+        for (const auto &s : strategies) {
+            for (int c : cores)
+                jobs.push_back(resourceJob(s, c, w));
+        }
+    }
+    const auto results = runScenarios(jobs);
+    auto curve = [&](std::size_t wi, std::size_t si) {
+        core::EntropyCurve out;
+        auto r = results.begin() +
+            static_cast<std::ptrdiff_t>(
+                (wi * strategies.size() + si) * cores.size());
+        for (int c : cores)
+            out.push_back({static_cast<double>(c), (r++)->meanES});
+        return out;
+    };
 
     // ---- (a) ------------------------------------------------------
     report::heading(std::cout,
                     "Fig. 3(a) — E_S vs cores, Unmanaged vs ARQ");
 
-    const auto cu = entropyVsCores("Unmanaged", cores, 20,
-                                   apps::fluidanimate());
-    const auto ca = entropyVsCores("ARQ", cores, 20,
-                                   apps::fluidanimate());
+    const auto cu = curve(ways.size() - 1, 0);
+    const auto ca = curve(ways.size() - 1, 3);
 
     report::TextTable ta({"cores", "Unmanaged E_S", "ARQ E_S"});
     auto csv_a = openCsv("fig03a.csv",
@@ -70,22 +91,17 @@ main()
     report::heading(std::cout,
                     "Fig. 3(b) — isentropic lines at E_S = 0.3");
 
-    const std::vector<int> ways{4, 6, 8, 10, 12, 16, 20};
     report::TextTable tb({"ways", "Unmanaged", "PARTIES", "CLITE",
                           "ARQ"});
     auto csv_b = openCsv("fig03b.csv",
                          {"ways", "unmanaged_cores",
                           "parties_cores", "clite_cores",
                           "arq_cores"});
-    const std::vector<std::string> strategies{
-        "Unmanaged", "PARTIES", "CLITE", "ARQ"};
-
-    for (int w : ways) {
-        std::vector<std::string> row{std::to_string(w)};
-        for (const auto &s : strategies) {
-            const auto curve = entropyVsCores(s, cores, w,
-                                              apps::fluidanimate());
-            const auto needed = core::resourceForEntropy(curve, 0.3);
+    for (std::size_t wi = 0; wi < ways.size(); ++wi) {
+        std::vector<std::string> row{std::to_string(ways[wi])};
+        for (std::size_t si = 0; si < strategies.size(); ++si) {
+            const auto needed =
+                core::resourceForEntropy(curve(wi, si), 0.3);
             row.push_back(needed ? num(*needed, 2) : "-");
         }
         tb.addRow(row);

@@ -19,11 +19,10 @@ namespace
 {
 
 void
-snapshot(const std::string &strategy, double xapian_load)
+snapshot(const std::string &strategy, const cluster::Node &node,
+         const cluster::SimulationResult &res)
 {
-    const auto node = canonicalNode(xapian_load, 0.2, 0.2,
-                                    apps::stream());
-    const auto res = runScenario(strategy, node, standardConfig());
+    const double xapian_load = node.loadAt(0, 0.0);
     const auto &rec = res.epochs.back();
     const auto &layout = rec.layout;
     const auto masks = layout.concreteMasks();
@@ -83,26 +82,28 @@ main()
     report::heading(std::cout,
                     "Figs. 5/6 — allocation snapshots "
                     "(Xapian, Moses, Img-dnn + Stream)");
+    std::vector<exec::ScenarioJob> jobs;
     for (double load : {0.3, 0.9}) {
-        for (const std::string s : {"PARTIES", "ARQ"})
-            snapshot(s, load);
+        for (const std::string s : {"PARTIES", "ARQ"}) {
+            jobs.push_back({s, canonicalNode(load, 0.2, 0.2,
+                                             apps::stream()),
+                            standardConfig(),
+                            s + "@" + num(load * 100, 0)});
+        }
     }
+    const auto results = runScenarios(jobs);
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        snapshot(jobs[i].strategy, jobs[i].node, results[i]);
 
     // What a real deployment would execute for the final ARQ layout
     // at 90% load (Intel CAT/MBA via pqos, affinities via taskset).
     report::heading(std::cout,
                     "pqos/taskset program for ARQ @ 90%");
-    {
-        const auto node = canonicalNode(0.9, 0.2, 0.2,
-                                        apps::stream());
-        const auto res = runScenario("ARQ", node, standardConfig());
-        machine::PqosProgrammer prog(
-            machine::MachineConfig::xeonE52630v4());
-        for (const auto &line : machine::PqosProgrammer::toShell(
-                 prog.program(res.epochs.back().layout))) {
-            std::cout << "  " << line << "\n";
-        }
-    }
+    machine::PqosProgrammer prog(
+        machine::MachineConfig::xeonE52630v4());
+    for (const auto &line : machine::PqosProgrammer::toShell(
+             prog.program(results.back().epochs.back().layout)))
+        std::cout << "  " << line << "\n";
     std::cout << "\nExpected shape (paper): at 30% load ARQ keeps a "
                  "large shared region (BE thrives);\nat 90% load "
                  "ARQ grows Xapian's isolated region (~70% cores in "

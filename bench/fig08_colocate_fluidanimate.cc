@@ -18,8 +18,9 @@ using namespace ahq::bench;
 int
 main()
 {
-    loadSweepFigure("fig08", apps::xapian(), apps::moses(),
-                    apps::imgDnn(), apps::fluidanimate());
+    const LoadSweep grid =
+        loadSweepFigure("fig08", apps::xapian(), apps::moses(),
+                        apps::imgDnn(), apps::fluidanimate());
 
     // Headline numbers for the 40%-secondary case (Fig. 8(b)).
     report::heading(std::cout,
@@ -30,16 +31,11 @@ main()
     double ipc_arq = 0.0, ipc_parties = 0.0, ipc_clite = 0.0;
     int n_loads = 0, n_low = 0;
 
-    for (double load : {0.1, 0.3, 0.5, 0.7, 0.9}) {
-        const auto node = canonicalNode(load, 0.4, 0.4,
-                                        apps::fluidanimate());
-        const auto ru = runScenario("Unmanaged", node,
-                                    standardConfig());
-        const auto rp = runScenario("PARTIES", node,
-                                    standardConfig());
-        const auto rc = runScenario("CLITE", node,
-                                    standardConfig());
-        const auto ra = runScenario("ARQ", node, standardConfig());
+    for (double load : grid.loads) {
+        const auto &ru = grid.at(0.4, load, "Unmanaged");
+        const auto &rp = grid.at(0.4, load, "PARTIES");
+        const auto &rc = grid.at(0.4, load, "CLITE");
+        const auto &ra = grid.at(0.4, load, "ARQ");
 
         auto mean_tail = [](const cluster::SimulationResult &r) {
             return (r.meanP95Ms[0] + r.meanP95Ms[1] +

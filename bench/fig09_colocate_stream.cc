@@ -17,19 +17,18 @@ using namespace ahq::bench;
 int
 main()
 {
-    loadSweepFigure("fig09", apps::xapian(), apps::moses(),
-                    apps::imgDnn(), apps::stream());
+    const LoadSweep grid =
+        loadSweepFigure("fig09", apps::xapian(), apps::moses(),
+                        apps::imgDnn(), apps::stream());
 
     report::heading(std::cout,
                     "Extreme point: Xapian 90%, Moses/Img-dnn 40% "
                     "+ Stream");
-    const auto node = canonicalNode(0.9, 0.4, 0.4, apps::stream());
     report::TextTable t({"strategy", "E_LC", "E_BE", "E_S", "yield",
                          "dE_S vs Unmanaged"});
-    const auto ru = runScenario("Unmanaged", node,
-                                standardConfig());
+    const auto &ru = grid.at(0.4, 0.9, "Unmanaged");
     for (const auto &s : allStrategies()) {
-        const auto r = runScenario(s, node, standardConfig());
+        const auto &r = grid.at(0.4, 0.9, s);
         t.addRow({s, num(r.meanELc), num(r.meanEBe), num(r.meanES),
                   num(r.yieldValue, 2),
                   s == "Unmanaged" ? "-" :

@@ -25,11 +25,10 @@ main()
                        {"strategy", "xapian_load", "imgdnn_load",
                         "e_lc", "e_be", "e_s"});
 
-    for (const std::string strategy : {"PARTIES", "ARQ"}) {
-        std::vector<std::vector<double>> g_lc, g_be, g_s;
-        std::vector<std::string> labels;
+    const std::vector<std::string> strategies{"PARTIES", "ARQ"};
+    std::vector<exec::ScenarioJob> jobs;
+    for (const auto &strategy : strategies) {
         for (double xl : loads) {
-            std::vector<double> r_lc, r_be, r_s;
             for (double il : loads) {
                 cluster::Node node(
                     machine::MachineConfig::xeonE52630v4(),
@@ -37,8 +36,22 @@ main()
                      cluster::lcAt(apps::moses(), 0.2),
                      cluster::lcAt(apps::imgDnn(), il),
                      cluster::be(apps::stream())});
-                const auto res = runScenario(strategy, node,
-                                             standardConfig());
+                jobs.push_back({strategy, node, standardConfig(),
+                                strategy + "@x" + num(xl, 1) + "i" +
+                                    num(il, 1)});
+            }
+        }
+    }
+    const auto results = runScenarios(jobs);
+
+    auto next = results.begin();
+    for (const auto &strategy : strategies) {
+        std::vector<std::vector<double>> g_lc, g_be, g_s;
+        std::vector<std::string> labels;
+        for (double xl : loads) {
+            std::vector<double> r_lc, r_be, r_s;
+            for (double il : loads) {
+                const auto &res = *next++;
                 r_lc.push_back(res.meanELc);
                 r_be.push_back(res.meanEBe);
                 r_s.push_back(res.meanES);

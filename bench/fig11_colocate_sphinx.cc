@@ -16,25 +16,18 @@ using namespace ahq::bench;
 int
 main()
 {
-    loadSweepFigure("fig11", apps::imgDnn(), apps::moses(),
-                    apps::sphinx(), apps::stream());
+    const LoadSweep grid =
+        loadSweepFigure("fig11", apps::imgDnn(), apps::moses(),
+                        apps::sphinx(), apps::stream());
 
     report::heading(std::cout,
                     "High-load E_S delta, ARQ vs PARTIES");
     double delta = 0.0;
     int n = 0;
     for (double load : {0.7, 0.9}) {
-        for (double fixed : {0.2, 0.4}) {
-            cluster::Node node(
-                machine::MachineConfig::xeonE52630v4(),
-                {cluster::lcAt(apps::imgDnn(), load),
-                 cluster::lcAt(apps::moses(), fixed),
-                 cluster::lcAt(apps::sphinx(), fixed),
-                 cluster::be(apps::stream())});
-            const auto rp = runScenario("PARTIES", node,
-                                        standardConfig());
-            const auto ra = runScenario("ARQ", node,
-                                        standardConfig());
+        for (double fixed : grid.fixedLoads) {
+            const auto &rp = grid.at(fixed, load, "PARTIES");
+            const auto &ra = grid.at(fixed, load, "ARQ");
             if (rp.meanES > 1e-9) {
                 delta += 1.0 - ra.meanES / rp.meanES;
                 ++n;

@@ -25,10 +25,9 @@ main()
                        {"strategy", "app", "p95_ms", "threshold_ms",
                         "ipc", "ipc_solo"});
 
-    std::vector<cluster::SimulationResult> results;
     const std::vector<std::string> strategies{"PARTIES", "ARQ"};
-    for (const auto &s : strategies)
-        results.push_back(runScenario(s, node, standardConfig()));
+    const auto results =
+        runStrategies(strategies, node, standardConfig());
 
     report::TextTable t({"app", "QoS target",
                          "PARTIES p95/IPC", "ARQ p95/IPC"});

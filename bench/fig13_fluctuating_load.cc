@@ -30,16 +30,17 @@ main()
     cfg.durationSeconds = 250.0;
     cfg.warmupEpochs = 0; // the whole timeline matters here
 
-    auto make_node = [] {
-        return cluster::Node(
-            machine::MachineConfig::xeonE52630v4(),
-            {cluster::lcWith(apps::xapian(),
-                             std::shared_ptr<trace::LoadTrace>(
-                                 trace::fig13XapianTrace())),
-             cluster::lcAt(apps::moses(), 0.2),
-             cluster::lcAt(apps::imgDnn(), 0.2),
-             cluster::be(apps::stream())});
-    };
+    const cluster::Node node(
+        machine::MachineConfig::xeonE52630v4(),
+        {cluster::lcWith(apps::xapian(),
+                         std::shared_ptr<trace::LoadTrace>(
+                             trace::fig13XapianTrace())),
+         cluster::lcAt(apps::moses(), 0.2),
+         cluster::lcAt(apps::imgDnn(), 0.2),
+         cluster::be(apps::stream())});
+    const std::vector<std::string> strategies{"LC-first", "PARTIES",
+                                              "ARQ"};
+    const auto results = runStrategies(strategies, node, cfg);
 
     auto csv = openCsv("fig13.csv",
                        {"strategy", "time_s", "xapian_load", "e_lc",
@@ -50,9 +51,9 @@ main()
                          "mean E_LC", "mean E_BE", "mean E_S"});
     std::vector<report::Series> es_series;
 
-    for (const std::string s : {"LC-first", "PARTIES", "ARQ"}) {
-        const auto node = make_node();
-        const auto res = runScenario(s, node, cfg);
+    for (std::size_t si = 0; si < strategies.size(); ++si) {
+        const std::string &s = strategies[si];
+        const auto &res = results[si];
 
         double sum_lc = 0.0, sum_be = 0.0, sum_s = 0.0;
         report::Series series{s, {}, {}};
@@ -99,8 +100,7 @@ main()
     // ARQ allocation timeline: shared-region size at key moments.
     report::heading(std::cout,
                     "ARQ shared-region size across load phases");
-    const auto node = make_node();
-    const auto arq = runScenario("ARQ", node, cfg);
+    const auto &arq = results.back();
     report::TextTable ta({"time (s)", "Xapian load",
                           "shared cores", "shared ways",
                           "Xapian iso cores", "Xapian iso ways"});

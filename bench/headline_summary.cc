@@ -38,36 +38,43 @@ main(int argc, char **argv)
         std::vector<double> es_samples;
         std::vector<double> yield_samples;
     };
-    Acc parties, clite, arq;
 
     const std::vector<apps::AppProfile> be_apps{
         apps::fluidanimate(), apps::stream()};
-
+    const std::vector<std::string> strategies{"PARTIES", "CLITE",
+                                              "ARQ"};
+    std::vector<exec::ScenarioJob> jobs;
     for (const auto &be_app : be_apps) {
         for (double fixed : {0.2, 0.4}) {
             for (double load : {0.1, 0.3, 0.5, 0.7, 0.9}) {
-                const auto node = canonicalNode(load, fixed, fixed,
-                                                be_app);
-                auto tally = [&](const std::string &name,
-                                 Acc &acc) {
-                    const auto r = runScenario(name, node,
-                                               standardConfig());
-                    acc.yield += r.yieldValue;
-                    acc.es += r.meanES;
-                    acc.es_samples.push_back(r.meanES);
-                    acc.yield_samples.push_back(r.yieldValue);
-                    ++acc.n;
-                    if (load <= 0.5) {
-                        acc.low_ipc += r.meanIpc[3];
-                        ++acc.n_low;
-                    }
-                };
-                tally("PARTIES", parties);
-                tally("CLITE", clite);
-                tally("ARQ", arq);
+                for (const auto &s : strategies) {
+                    jobs.push_back(
+                        {s, canonicalNode(load, fixed, fixed, be_app),
+                         standardConfig(),
+                         be_app.name + "/" + s + "@" +
+                             num(fixed * 100, 0) + "-" +
+                             num(load * 100, 0)});
+                }
             }
         }
     }
+    const auto results = runScenarios(jobs);
+
+    Acc accs[3]; // in `strategies` order
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const auto &r = results[i];
+        Acc &acc = accs[i % strategies.size()];
+        acc.yield += r.yieldValue;
+        acc.es += r.meanES;
+        acc.es_samples.push_back(r.meanES);
+        acc.yield_samples.push_back(r.yieldValue);
+        ++acc.n;
+        if (jobs[i].node.loadAt(0, 0.0) <= 0.5) {
+            acc.low_ipc += r.meanIpc[3];
+            ++acc.n_low;
+        }
+    }
+    const Acc &parties = accs[0], &clite = accs[1], &arq = accs[2];
 
     report::TextTable t({"metric", "PARTIES", "CLITE", "ARQ",
                          "ARQ delta vs PARTIES",

@@ -46,9 +46,10 @@ main()
                                         apps::stream());
         const auto iso = cluster::bestIsolatedPartition(node, ocfg);
         const auto hyb = cluster::bestHybridPartition(node, ocfg);
-        const auto rp = runScenario("PARTIES", node,
-                                    standardConfig());
-        const auto ra = runScenario("ARQ", node, standardConfig());
+        const auto live =
+            runStrategies({"PARTIES", "ARQ"}, node, standardConfig(),
+                          "xapian=" + num(load, 1) + "/");
+        const auto &rp = live[0], &ra = live[1];
 
         t.addRow({num(load * 100, 0) + "%", num(iso.report.eS),
                   num(hyb.report.eS), num(rp.meanES),

@@ -34,18 +34,15 @@ main()
              machine::MachineConfig::xeonGold6248()},
         };
 
+    const std::vector<std::string> strategies{"Unmanaged", "PARTIES",
+                                              "ARQ"};
     for (const auto &[label, mc] : machines) {
-        cluster::Node node(
-            mc, {cluster::lcAt(apps::moses(), 0.2),
-                 cluster::lcAt(apps::xapian(), 0.2),
-                 cluster::lcAt(apps::imgDnn(), 0.2),
-                 cluster::lcAt(apps::sphinx(), 0.2),
-                 cluster::lcAt(apps::masstree(), 0.2),
-                 cluster::lcAt(apps::silo(), 0.2),
-                 cluster::be(apps::fluidanimate()),
-                 cluster::be(apps::streamcluster())});
-        for (const auto &s : {"Unmanaged", "PARTIES", "ARQ"}) {
-            const auto r = runScenario(s, node, standardConfig());
+        const auto results =
+            runStrategies(strategies, eightAppNode(mc),
+                          standardConfig(), label + std::string("/"));
+        for (std::size_t i = 0; i < strategies.size(); ++i) {
+            const std::string &s = strategies[i];
+            const auto &r = results[i];
             t.addRow({label, s, num(r.meanELc), num(r.meanEBe),
                       num(r.meanES), num(r.yieldValue, 2)});
             csv->addRow({label, s, num(r.meanELc), num(r.meanEBe),

@@ -16,28 +16,6 @@
 using namespace ahq;
 using namespace ahq::bench;
 
-namespace
-{
-
-struct Outcome
-{
-    double arq_es;
-    double parties_es;
-    double arq_ipc;
-    double parties_ipc;
-};
-
-Outcome
-runPair(const cluster::SimulationConfig &cfg)
-{
-    const auto node = canonicalNode(0.7, 0.2, 0.2, apps::stream());
-    const auto ra = runScenario("ARQ", node, cfg);
-    const auto rp = runScenario("PARTIES", node, cfg);
-    return {ra.meanES, rp.meanES, ra.meanIpc[3], rp.meanIpc[3]};
-}
-
-} // namespace
-
 int
 main()
 {
@@ -54,37 +32,44 @@ main()
     int violations_of_ordering = 0;
 
     auto record = [&](const std::string &knob,
-                      const std::string &value, const Outcome &o) {
-        const bool wins = o.arq_es <= o.parties_es + 0.02;
+                      const std::string &value,
+                      const cluster::SimulationConfig &cfg) {
+        const auto r =
+            runStrategies({"ARQ", "PARTIES"},
+                          canonicalNode(0.7, 0.2, 0.2, apps::stream()),
+                          cfg, knob + "=" + value + "/");
+        const double arq_es = r[0].meanES, parties_es = r[1].meanES;
+        const double arq_ipc = r[0].meanIpc[3],
+                     parties_ipc = r[1].meanIpc[3];
+        const bool wins = arq_es <= parties_es + 0.02;
         if (!wins)
             ++violations_of_ordering;
-        t.addRow({knob, value, num(o.arq_es), num(o.parties_es),
-                  wins ? "yes" : "NO", num(o.arq_ipc, 2),
-                  num(o.parties_ipc, 2)});
-        csv->addRow({knob, value, num(o.arq_es),
-                     num(o.parties_es), num(o.arq_ipc),
-                     num(o.parties_ipc)});
+        t.addRow({knob, value, num(arq_es), num(parties_es),
+                  wins ? "yes" : "NO", num(arq_ipc, 2),
+                  num(parties_ipc, 2)});
+        csv->addRow({knob, value, num(arq_es), num(parties_es),
+                     num(arq_ipc), num(parties_ipc)});
     };
 
     // Shared-core pollution penalty.
     for (double penalty : {1.0, 1.1, 1.15, 1.25, 1.4}) {
         auto cfg = standardConfig();
         cfg.contention.sharedServicePenalty = penalty;
-        record("shared penalty", num(penalty, 2), runPair(cfg));
+        record("shared penalty", num(penalty, 2), cfg);
     }
 
     // Bandwidth contention curvature.
     for (double k : {0.2, 0.8, 2.0}) {
         auto cfg = standardConfig();
         cfg.contention.bandwidth.contentionK = k;
-        record("bw curvature k", num(k, 1), runPair(cfg));
+        record("bw curvature k", num(k, 1), cfg);
     }
 
     // Measurement noise.
     for (double sigma : {0.0, 0.05, 0.10, 0.20}) {
         auto cfg = standardConfig();
         cfg.noiseSigma = sigma;
-        record("noise sigma", num(sigma, 2), runPair(cfg));
+        record("noise sigma", num(sigma, 2), cfg);
     }
 
     // Repartition overhead scale.
@@ -93,7 +78,7 @@ main()
         cfg.overheadEnabled = scale > 0.0;
         cfg.overheadWaysFactor *= scale;
         cfg.overheadCoresFactor *= scale;
-        record("overhead x", num(scale, 1), runPair(cfg));
+        record("overhead x", num(scale, 1), cfg);
     }
 
     t.print(std::cout);

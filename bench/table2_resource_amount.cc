@@ -29,13 +29,16 @@ main()
                        {"cores", "app", "tl0", "tl1", "m", "a", "r",
                         "ret", "q", "e_lc", "e_be", "e_s"});
 
-    for (int cores : {6, 7, 8}) {
-        const auto mc = machine::MachineConfig::xeonE52630v4()
-                            .withAvailable(cores, 20, 10);
-        const auto node = canonicalNode(0.2, 0.2, 0.2,
-                                        apps::fluidanimate(), mc);
-        const auto res = runScenario("Unmanaged", node,
-                                     standardConfig());
+    const std::vector<int> core_counts{6, 7, 8};
+    std::vector<exec::ScenarioJob> jobs;
+    for (int cores : core_counts)
+        jobs.push_back(resourceJob("Unmanaged", cores, 20));
+    const auto results = runScenarios(jobs);
+
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        const int cores = core_counts[j];
+        const cluster::Node &node = jobs[j].node;
+        const auto &res = results[j];
 
         // Recompute the per-app breakdown from steady-state means.
         std::vector<core::LcObservation> lc;

@@ -27,6 +27,7 @@
 #include "obs/timeseries.hh"
 #include "obs/trace_reader.hh"
 #include "obs/trace_sink.hh"
+#include "sched/registry.hh"
 
 using namespace ahq;
 using namespace ahq::bench;
@@ -126,7 +127,7 @@ main(int argc, char **argv)
     traced_cfg.obs.sink = &sink;
 
     const cluster::Node node = eightAppNode();
-    const auto arq = makeScheduler("ARQ");
+    const auto arq = sched::makeScheduler("ARQ");
     const cluster::EpochSimulator plain(node, cfg);
     const cluster::EpochSimulator traced(node, traced_cfg);
 

@@ -176,14 +176,11 @@ ContentionModel::evaluateInto(const RegionLayout &layout,
     ws.st.assign(n, AppState{});
     std::vector<AppState> &st = ws.st;
     // Hoist the per-app ideal CPI (constant across the fixed point;
-    // CpiModel::speed would otherwise recompute it per call). The
-    // curve table, when registered, supplies the identical value.
+    // CpiModel::speed would otherwise recompute it per call).
     ws.cpiIdeal.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
         const AppDemand &d = demands[i];
-        ws.cpiIdeal[i] = d.curves != nullptr
-            ? d.curves->cpiIdeal()
-            : d.cpi.cpiIdeal(ideal_ways);
+        ws.cpiIdeal[i] = d.cpi.cpiIdeal(ideal_ways);
         st[i].ways = std::max(
             1.0, static_cast<double>(layout.reachable(
                      static_cast<AppId>(i), ResourceKind::LlcWays)));

@@ -40,7 +40,6 @@
 #include "perf/bandwidth.hh"
 #include "perf/contention_cache.hh"
 #include "perf/cpi.hh"
-#include "perf/curve_table.hh"
 
 namespace ahq::perf
 {
@@ -78,14 +77,6 @@ struct AppDemand
 
     /** Cache/CPI behaviour. */
     CpiModel cpi;
-
-    /**
-     * Optional precomputed curve table for this app (not owned; must
-     * outlive the demand and match cpi). Purely an evaluation
-     * accelerator — never part of the model's inputs, so it is
-     * excluded from memo keys.
-     */
-    const AppCurveTable *curves = nullptr;
 
     AppDemand() : cpi(MissRateCurve(10.0, 1.0, 4.0), CpiTraits{}) {}
 };

@@ -4,6 +4,7 @@
  */
 
 #include "report/ascii_chart.hh"
+#include "report/table.hh"
 
 #include <algorithm>
 #include <cassert>
@@ -104,8 +105,8 @@ lineChart(std::ostream &os, const std::vector<Series> &series,
     footer += hi_label;
     os << footer << "\n";
     for (std::size_t si = 0; si < series.size(); ++si) {
-        os << "  [" << kGlyphs[si % 8] << "] " << series[si].name
-           << "\n";
+        os << "  [" << kGlyphs[si % 8] << "] "
+           << oneLine(series[si].name) << "\n";
     }
 }
 

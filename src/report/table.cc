@@ -12,15 +12,36 @@
 namespace ahq::report
 {
 
+std::string
+oneLine(std::string text)
+{
+    if (text.find_first_of("\n\r") == std::string::npos)
+        return text;
+    std::string out;
+    for (char ch : text) {
+        if (ch == '\n')
+            out += "\\n";
+        else if (ch == '\r')
+            out += "\\r";
+        else
+            out += ch;
+    }
+    return out;
+}
+
 TextTable::TextTable(std::vector<std::string> headers)
     : headers_(std::move(headers))
 {
+    for (auto &h : headers_)
+        h = oneLine(std::move(h));
 }
 
 void
 TextTable::addRow(std::vector<std::string> row)
 {
     row.resize(headers_.size());
+    for (auto &cell : row)
+        cell = oneLine(std::move(cell));
     rows.push_back(std::move(row));
 }
 

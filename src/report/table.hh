@@ -16,6 +16,13 @@ namespace ahq::report
 {
 
 /**
+ * Text as printed on one line: a line break in a table cell or a
+ * legend entry would split it, so \n and \r are written as the two
+ * characters `\n` / `\r`.
+ */
+std::string oneLine(std::string text);
+
+/**
  * A simple column-aligned text table.
  */
 class TextTable
@@ -24,7 +31,11 @@ class TextTable
     /** @param headers Column headers. */
     explicit TextTable(std::vector<std::string> headers);
 
-    /** Append a row; it is padded/truncated to the column count. */
+    /**
+     * Append a row; it is padded/truncated to the column count. A
+     * line break in a cell (or header) prints as the two characters
+     * `\n` (`\r`), so every row stays on one line.
+     */
     void addRow(std::vector<std::string> row);
 
     /** Convenience: format a double with the given precision. */

@@ -41,6 +41,19 @@ TEST(TextTable, ShortRowsPadded)
     EXPECT_EQ(t.numRows(), 1u);
 }
 
+TEST(TextTable, LineBreakInACellStaysOnItsRow)
+{
+    TextTable t({"scenario", "n"});
+    t.addRow({"A\nB", "1"});
+    t.addRow({"C\rD", "22"});
+    std::ostringstream os;
+    t.print(os);
+    EXPECT_EQ(os.str(), "  scenario  n \n"
+                        "--------------\n"
+                        "  A\\nB      1 \n"
+                        "  C\\rD      22\n");
+}
+
 TEST(TextTable, NumFormatting)
 {
     EXPECT_EQ(TextTable::num(1.23456, 2), "1.23");

@@ -668,6 +668,31 @@ TEST(TraceVerbs, CsvAndMarkdownCellsKeepTheirColumns)
     std::remove(trace.c_str());
 }
 
+TEST(TraceVerbs, LineBreakInATagKeepsTheTraceRowOnOneLine)
+{
+    // A tag read from a trace may hold a newline; the text table and
+    // the chart legend print it as `\n`, never as a line break.
+    const std::string trace = tmpPath("newline_tag.jsonl");
+    {
+        std::ofstream f(trace);
+        f << "{\"v\":1,\"type\":\"epoch\",\"scenario\":\"A\\nB\","
+             "\"epoch\":0,\"t\":0,\"e_s\":0.5}\n";
+    }
+    const auto res = run({"trace", trace});
+    ASSERT_EQ(res.code, 0) << res.err;
+    EXPECT_EQ(res.out.find("A\nB"), std::string::npos) << res.out;
+    std::istringstream lines(res.out);
+    std::string line, row;
+    while (std::getline(lines, line)) {
+        if (line.rfind("  A\\nB ", 0) == 0)
+            row = line;
+    }
+    EXPECT_NE(row.find("0.500"), std::string::npos) << res.out;
+    EXPECT_NE(res.out.find("[*] A\\nB\n"), std::string::npos)
+        << res.out;
+    std::remove(trace.c_str());
+}
+
 TEST(Usage, MentionsTheNewSubcommands)
 {
     const auto res = run({"help"});
