@@ -16,7 +16,6 @@
 #include "core/entropy.hh"
 #include "machine/layout.hh"
 #include "perf/contention.hh"
-#include "perf/queueing.hh"
 
 using namespace ahq;
 using namespace ahq::bench;
@@ -56,15 +55,10 @@ evaluate(const machine::RegionLayout &layout,
     for (std::size_t i = 0; i < profiles.size(); ++i) {
         const auto &p = profiles[i];
         if (p.latencyCritical) {
-            const double t95 =
-                p.baseLatencyMs +
-                1000.0 * perf::sojournPercentileApprox(
-                             out[i].coreEquivalents,
-                             demands[i].arrivalRate,
-                             out[i].perServerRate,
-                             p.svcP95Mult * out[i].serviceStretch);
+            const double t95 = p.measuredTailMs(
+                out[i], demands[i].arrivalRate, 0.0, 0.95);
             so.tail.push_back(t95);
-            lc.push_back({p.soloTailP95Ms(loads[i]), t95,
+            lc.push_back({p.soloTailPercentileMs(loads[i], 0.95), t95,
                           p.tailThresholdMs});
         } else {
             so.ipc = out[i].ipc;

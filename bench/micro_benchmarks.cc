@@ -312,7 +312,7 @@ BM_OracleSearchParallel(benchmark::State &state)
     cfg.wayStep = 4;
     cfg.pool = &pool;
     for (auto _ : state) {
-        auto res = cluster::bestHybridPartition(node, cfg);
+        auto res = cluster::bestHybridPartition(node, {}, cfg);
         benchmark::DoNotOptimize(res.report.eS);
     }
 }

@@ -29,6 +29,7 @@ main()
                     "Oracle bound — isolation vs hybrid optimum "
                     "(Moses/Img-dnn 20% + Stream)");
 
+    const auto sim = standardConfig();
     cluster::OracleConfig ocfg;
     ocfg.wayStep = 4; // coarse ways keep the search snappy
 
@@ -44,10 +45,11 @@ main()
     for (double load : {0.1, 0.3, 0.5, 0.7, 0.9}) {
         const auto node = canonicalNode(load, 0.2, 0.2,
                                         apps::stream());
-        const auto iso = cluster::bestIsolatedPartition(node, ocfg);
-        const auto hyb = cluster::bestHybridPartition(node, ocfg);
+        const auto iso =
+            cluster::bestIsolatedPartition(node, sim, ocfg);
+        const auto hyb = cluster::bestHybridPartition(node, sim, ocfg);
         const auto live =
-            runStrategies({"PARTIES", "ARQ"}, node, standardConfig(),
+            runStrategies({"PARTIES", "ARQ"}, node, sim,
                           "xapian=" + num(load, 1) + "/");
         const auto &rp = live[0], &ra = live[1];
 

@@ -64,7 +64,8 @@ main(int argc, char **argv)
     exec::ThreadPool ref_pool(1);
     ocfg.pool = &ref_pool;
     const auto ref_batch = exec::ScenarioRunner(&ref_pool).run(jobs);
-    const auto ref_oracle = cluster::bestHybridPartition(node, ocfg);
+    const auto ref_oracle =
+        cluster::bestHybridPartition(node, {}, ocfg);
 
     const unsigned hw = std::thread::hardware_concurrency();
     report::TextTable t({"threads", "batch (s)", "batch speedup",
@@ -89,7 +90,7 @@ main(int argc, char **argv)
             secondsOfN([&] { batch_res = runner.run(jobs); });
         cluster::OracleResult oracle_res;
         const double oracle_s = secondsOfN([&] {
-            oracle_res = cluster::bestHybridPartition(node, cfg);
+            oracle_res = cluster::bestHybridPartition(node, {}, cfg);
         });
 
         bool identical =

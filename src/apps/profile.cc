@@ -5,6 +5,7 @@
 
 #include "apps/profile.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -44,18 +45,6 @@ AppProfile::arrivalRate(double load_fraction) const
 }
 
 double
-AppProfile::soloTailP95Ms(double load_fraction) const
-{
-    const double lambda = arrivalRate(load_fraction);
-    const double mu = 1000.0 / serviceTimeMs;
-    const double t95 = perf::sojournPercentileApprox(
-        static_cast<double>(threads), lambda, mu, svcP95Mult);
-    if (t95 == std::numeric_limits<double>::infinity())
-        return t95;
-    return baseLatencyMs + 1000.0 * t95;
-}
-
-double
 AppProfile::svcMultAt(double p) const
 {
     assert(p > 0.0 && p < 1.0);
@@ -74,6 +63,25 @@ AppProfile::soloTailPercentileMs(double load_fraction,
         static_cast<double>(threads), lambda, mu, svcMultAt(p), p);
     if (t == std::numeric_limits<double>::infinity())
         return t;
+    return baseLatencyMs + 1000.0 * t;
+}
+
+double
+AppProfile::measuredTailMs(const perf::PerfOutcome &out, double lambda,
+                           double backlog, double p, double cold) const
+{
+    const double cap = out.serviceRate / cold;
+    const double per_server = out.perServerRate / cold;
+    // Steady queueing term at a stabilised arrival rate plus the
+    // drain time of the carried backlog. Timeslice stretching
+    // (FairShare oversubscription) inflates the whole tail.
+    const double svc_tail = svcMultAt(p) * out.serviceStretch;
+    double t = perf::sojournPercentileApprox(
+        out.coreEquivalents, std::min(lambda, 0.98 * cap), per_server,
+        svc_tail, p);
+    if (!std::isfinite(t))
+        t = svc_tail / per_server;
+    t += backlog / std::max(cap, 1e-9);
     return baseLatencyMs + 1000.0 * t;
 }
 

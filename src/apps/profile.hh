@@ -65,23 +65,38 @@ struct AppProfile
     double arrivalRate(double load_fraction) const;
 
     /**
-     * Solo p95 tail latency at the given load fraction: the app on
-     * the full machine at speed 1 (this is TL_i0 at that load, which
-     * the paper obtains by temporarily isolating ample resources).
-     */
-    double soloTailP95Ms(double load_fraction) const;
-
-    /**
-     * Solo tail latency at an arbitrary percentile. The paper uses
-     * the 95th "without losing generality" (§V); this generalises
-     * the calibrated service tail by scaling its exceedance with
-     * log(1-p), exact for exponential-tailed services.
+     * Solo tail latency TL_i0 at the given load fraction and
+     * percentile: the app on the full machine at speed 1, which the
+     * paper obtains by temporarily isolating ample resources. The
+     * paper uses the 95th "without losing generality" (§V); other
+     * percentiles scale the calibrated service tail (svcMultAt).
      *
      * @param load_fraction Load as a fraction of max load.
-     * @param p Percentile in (0, 1), e.g. 0.99.
+     * @param p Percentile in (0, 1), e.g. 0.95.
      */
     double soloTailPercentileMs(double load_fraction,
                                 double p) const;
+
+    /**
+     * Measured tail latency TL_i1 (ms) at percentile p under the
+     * contention model's outcome: the M/G/c approximation
+     * (perf::sojournPercentileApprox) over the granted
+     * core-equivalents at the arrival rate clamped to 98% of
+     * capacity, with the calibrated service tail stretched by
+     * timeslicing, plus the drain time of `backlog` queued requests.
+     * A saturated queueing term falls back to the service tail. The
+     * epoch kernel, the oracle and Fig. 1 all measure through here.
+     *
+     * @param out The app's contention-model outcome.
+     * @param lambda Arrival rate, requests/s.
+     * @param backlog Requests queued ahead of the arrivals.
+     * @param p Percentile in (0, 1).
+     * @param cold Cold-start factor (>= 1) dividing the service
+     *        rates while a migrated app's caches re-warm.
+     */
+    double measuredTailMs(const perf::PerfOutcome &out, double lambda,
+                          double backlog, double p,
+                          double cold = 1.0) const;
 
     /** The calibrated service-tail multiplier at percentile p. */
     double svcMultAt(double p) const;

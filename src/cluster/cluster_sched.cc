@@ -124,7 +124,7 @@ ClusterScheduler::run(const SimulationConfig &base,
                 Node node(configs_[n], apps_[n]);
                 results[n] = EpochSimulator(node, c).run(
                     *make_sched());
-                accums[n].add(node, results[n]);
+                accums[n].add(node, results[n], c.tailPercentile);
             });
         for (const auto &buf : buffers)
             buf.flushTo(*scope.sink);

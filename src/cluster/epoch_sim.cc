@@ -26,7 +26,6 @@
 #include "fault/injector.hh"
 #include "obs/span.hh"
 #include "obs/timeseries.hh"
-#include "perf/queueing.hh"
 #include "stats/rng.hh"
 
 namespace ahq::cluster
@@ -637,31 +636,18 @@ class EpochKernel
             load = spikedLoad(load, injector_->loadFactor(i, t));
         const double lambda = prof.arrivalRate(load);
         const double cold = coldFactor(i, e);
-        const double cap = out.serviceRate / cold;
-        const double per_server = out.perServerRate / cold;
 
         // Explicit backlog dynamics with a generator-side cap on
-        // outstanding work.
-        const double queue_cap = lambda * cfg_.queueCapSeconds + 32.0;
-        double b_new = backlog_[ui] + (lambda - cap) * cfg_.epochSeconds;
-        b_new = std::clamp(b_new, 0.0, queue_cap);
+        // outstanding work; the epoch's requests queue behind the
+        // mid-epoch backlog.
+        double b_new = backlog_[ui] +
+            (lambda - out.serviceRate / cold) * cfg_.epochSeconds;
+        b_new = std::clamp(b_new, 0.0, cfg_.queueCap(lambda));
         const double b_mid = 0.5 * (backlog_[ui] + b_new);
         backlog_[ui] = b_new;
 
-        // Steady queueing term at a stabilised arrival rate plus the
-        // drain time of the carried backlog. Timeslice stretching
-        // (FairShare oversubscription) inflates the whole tail.
-        const double lam_eff = std::min(lambda, 0.98 * cap);
-        const double svc_tail =
-            prof.svcMultAt(cfg_.tailPercentile) * out.serviceStretch;
-        double t95 = perf::sojournPercentileApprox(
-            out.coreEquivalents, lam_eff, per_server, svc_tail,
-            cfg_.tailPercentile);
-        if (!std::isfinite(t95))
-            t95 = svc_tail / per_server;
-        t95 += b_mid / std::max(cap, 1e-9);
-
-        double p95 = prof.baseLatencyMs + 1000.0 * t95;
+        double p95 = prof.measuredTailMs(out, lambda, b_mid,
+                                         cfg_.tailPercentile, cold);
         p95 *= overhead;
         p95 *= rng_.lognormalNoise(cfg_.noiseSigma);
 

@@ -77,6 +77,17 @@ struct SimulationConfig
      */
     double queueCapSeconds = 0.10;
 
+    /**
+     * Most requests an LC app arriving at `lambda` requests/s can
+     * have queued: queueCapSeconds of offered work plus a fixed
+     * floor. The kernel's backlog saturates here, and the oracle's
+     * steady state of a saturated app carries exactly this backlog.
+     */
+    double queueCap(double lambda) const
+    {
+        return lambda * queueCapSeconds + 32.0;
+    }
+
     /** Contention model tunables. */
     perf::ContentionTraits contention;
 

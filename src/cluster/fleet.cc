@@ -35,7 +35,8 @@ Fleet::addNode(Node node, std::unique_ptr<sched::Scheduler> scheduler)
 }
 
 void
-FleetAccumulator::add(const Node &node, const SimulationResult &res)
+FleetAccumulator::add(const Node &node, const SimulationResult &res,
+                      double tail_percentile)
 {
     assert(res.steadyMeanLoad.size() ==
            static_cast<std::size_t>(node.numApps()));
@@ -49,7 +50,8 @@ FleetAccumulator::add(const Node &node, const SimulationResult &res)
             // reference must be too (a trace still ramping during
             // warmup would otherwise drag the reference below the
             // regime the steady tail was measured in).
-            lc.push_back({p.soloTailP95Ms(res.steadyMeanLoad[ui]),
+            lc.push_back({p.soloTailPercentileMs(res.steadyMeanLoad[ui],
+                                                 tail_percentile),
                           res.meanP95Ms[ui], p.tailThresholdMs});
         } else {
             be.push_back({p.ipcSolo, res.meanIpc[ui]});
@@ -145,7 +147,8 @@ Fleet::run(const SimulationConfig &config, exec::ThreadPool *pool)
             c.obs = node_scope;
             out.nodes[n] = EpochSimulator(nodes_[n].node, c)
                                .run(*nodes_[n].scheduler);
-            accums[n].add(nodes_[n].node, out.nodes[n]);
+            accums[n].add(nodes_[n].node, out.nodes[n],
+                          c.tailPercentile);
         });
 
     // ---- phase B: survivors finish the run with the refugees -----
@@ -312,7 +315,8 @@ Fleet::recover(const SimulationConfig &config, int crash_epoch,
             c.obs = node_scope;
             res_b[s] = EpochSimulator(rec.entries[s].node, c)
                            .run(*rec.entries[s].scheduler);
-            rec.accums[s].add(rec.entries[s].node, res_b[s]);
+            rec.accums[s].add(rec.entries[s].node, res_b[s],
+                              c.tailPercentile);
         });
 
     // Crashed slots keep their phase A segment; survivors report

@@ -46,15 +46,17 @@ struct FleetAccumulator
 
     /**
      * Fold one node's steady-state result in. Each LC app's
-     * solo-tail reference is evaluated at its *steady-state* mean
-     * load (SimulationResult::steadyMeanLoad): meanP95Ms is a
+     * solo-tail reference TL_i0 is evaluated at the run's tail
+     * percentile and at its *steady-state* mean load
+     * (SimulationResult::steadyMeanLoad): meanP95Ms is a
      * post-warmup aggregate, so pooling it against a load average
      * that included warmup epochs (where a trace may still be
      * ramping) would compare the steady tail against a reference
      * the steady state never saw. Every simulator result carries
      * steadyMeanLoad; add() asserts it.
      */
-    void add(const Node &node, const SimulationResult &res);
+    void add(const Node &node, const SimulationResult &res,
+             double tail_percentile);
 
     /** Append another accumulator's observations (in call order). */
     void merge(const FleetAccumulator &other);

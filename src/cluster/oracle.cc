@@ -6,13 +6,11 @@
 #include "cluster/oracle.hh"
 
 #include <cassert>
-#include <cmath>
 #include <functional>
 #include <limits>
 
 #include "exec/jobs.hh"
 #include "exec/parallel.hh"
-#include "perf/queueing.hh"
 
 namespace ahq::cluster
 {
@@ -128,167 +126,154 @@ bwProportionalToCores(const std::vector<int> &cores, int total_bw)
     return bw;
 }
 
+/**
+ * One layout family: per-group minimum cores and ways, the builder
+ * that turns a (cores, ways, bw) split into a layout, and the
+ * core-share policy of its shared regions.
+ */
+struct Family
+{
+    std::vector<int> mins;
+    perf::CoreSharePolicy policy;
+    std::function<RegionLayout(const std::vector<int> &cores,
+                               const std::vector<int> &ways,
+                               const std::vector<int> &bw)>
+        build;
+};
+
+/**
+ * The one search: enumerate every core split (fanned across the
+ * pool) and, within it, every way split; score each layout with
+ * steadyStateEntropy and keep the first minimum in enumeration
+ * order.
+ */
+OracleResult
+bestOf(const Node &node, const Family &family,
+       const SimulationConfig &sim, const OracleConfig &cfg)
+{
+    const auto avail = node.config().availableResources();
+    const auto splits =
+        allCompositions(avail.cores, family.mins, cfg.coreStep);
+    auto eval_split = [&](const std::vector<int> &cores) {
+        SplitBest local;
+        const auto bw = bwProportionalToCores(cores, avail.memBw);
+        forEachComposition(avail.llcWays, family.mins, cfg.wayStep,
+                           [&](const std::vector<int> &ways) {
+            auto layout = family.build(cores, ways, bw);
+            const auto rep =
+                steadyStateEntropy(node, layout, family.policy, sim);
+            ++local.result.evaluated;
+            if (rep.eS < local.es) {
+                local.es = rep.eS;
+                local.result.layout = std::move(layout);
+                local.result.report = rep;
+            }
+        });
+        return local;
+    };
+    exec::ThreadPool &pool =
+        cfg.pool ? *cfg.pool : exec::globalPool();
+    return mergeSplitBests(
+        exec::parallelMap(pool, splits, eval_split));
+}
+
+/** An exclusive region holding LC app `app`. */
+Region
+isolated(AppId app, int cores, int ways, int bw)
+{
+    return {"iso" + std::to_string(app), false, {cores, ways, bw},
+            {app}};
+}
+
 } // namespace
 
 core::EntropyReport
 steadyStateEntropy(const Node &node, const RegionLayout &layout,
                    perf::CoreSharePolicy policy,
-                   const OracleConfig &cfg)
+                   const SimulationConfig &sim)
 {
-    perf::ContentionModel model(node.config(), cfg.contention);
-    const auto demands = node.demandsAt(0.0);
-    const auto out = model.evaluate(layout, demands, policy);
+    perf::ContentionModel model(node.config(), sim.contention);
+    const auto out = model.evaluate(layout, node.demandsAt(0.0), policy);
 
     std::vector<core::LcObservation> lc;
     std::vector<core::BeObservation> be;
     for (AppId i = 0; i < node.numApps(); ++i) {
         const auto &p = node.profile(i);
-        const auto ui = static_cast<std::size_t>(i);
-        if (p.latencyCritical) {
-            const double load = node.loadAt(i, 0.0);
-            const double lambda = p.arrivalRate(load);
-            const double cap = out[ui].serviceRate;
-            const double svc_tail =
-                p.svcMultAt(cfg.tailPercentile) *
-                out[ui].serviceStretch;
-            const double lam_eff = std::min(lambda, 0.98 * cap);
-            double t = perf::sojournPercentileApprox(
-                out[ui].coreEquivalents, lam_eff,
-                out[ui].perServerRate, svc_tail,
-                cfg.tailPercentile);
-            if (!std::isfinite(t))
-                t = svc_tail / out[ui].perServerRate;
-            if (lambda > cap) {
-                // Saturated: the generator-capped backlog drains
-                // ahead of every request (cf. the epoch simulator).
-                const double backlog = lambda * 0.10 + 32.0;
-                t += backlog / std::max(cap, 1e-9);
-            }
-            lc.push_back(
-                {p.soloTailPercentileMs(load, cfg.tailPercentile),
-                 p.baseLatencyMs + 1000.0 * t,
-                 p.tailThresholdMs});
-        } else {
-            be.push_back({p.ipcSolo, out[ui].ipc});
+        const auto &o = out[static_cast<std::size_t>(i)];
+        if (!p.latencyCritical) {
+            be.push_back({p.ipcSolo, o.ipc});
+            continue;
         }
+        const double load = node.loadAt(i, 0.0);
+        const double lambda = p.arrivalRate(load);
+        // The kernel's backlog fixed point: empty, or filled to the
+        // generator's cap while arrivals outrun capacity.
+        const double backlog =
+            lambda > o.serviceRate ? sim.queueCap(lambda) : 0.0;
+        lc.push_back(
+            {p.soloTailPercentileMs(load, sim.tailPercentile),
+             p.measuredTailMs(o, lambda, backlog, sim.tailPercentile),
+             p.tailThresholdMs});
     }
-    return core::computeEntropy(lc, be, cfg.ri);
+    return core::computeEntropy(lc, be, sim.ri);
 }
 
 OracleResult
-bestIsolatedPartition(const Node &node, const OracleConfig &cfg)
+bestIsolatedPartition(const Node &node, const SimulationConfig &sim,
+                      const OracleConfig &cfg)
 {
     const auto avail = node.config().availableResources();
     const auto &lc = node.lcApps();
     const bool has_be = !node.beApps().empty();
-    const int groups =
-        static_cast<int>(lc.size()) + (has_be ? 1 : 0);
+    const auto groups = lc.size() + (has_be ? 1 : 0);
     assert(groups >= 1);
 
-    const std::vector<int> core_mins(
-        static_cast<std::size_t>(groups), 1);
-    const std::vector<int> way_mins(
-        static_cast<std::size_t>(groups), 1);
-
-    const auto splits =
-        allCompositions(avail.cores, core_mins, cfg.coreStep);
-    auto eval_split = [&](const std::vector<int> &cores) {
-        SplitBest local;
-        const auto bw = bwProportionalToCores(cores, avail.memBw);
-        forEachComposition(avail.llcWays, way_mins, cfg.wayStep,
-                           [&](const std::vector<int> &ways) {
+    const Family family{
+        std::vector<int>(groups, 1), perf::CoreSharePolicy::FairShare,
+        [&](const std::vector<int> &cores, const std::vector<int> &ways,
+            const std::vector<int> &bw) {
             RegionLayout layout(avail);
-            for (std::size_t g = 0; g < lc.size(); ++g) {
-                Region r;
-                r.name = "iso" + std::to_string(lc[g]);
-                r.shared = false;
-                r.members = {lc[g]};
-                r.res = {cores[g], ways[g], bw[g]};
-                layout.addRegion(std::move(r));
-            }
+            for (std::size_t g = 0; g < lc.size(); ++g)
+                layout.addRegion(
+                    isolated(lc[g], cores[g], ways[g], bw[g]));
             if (has_be) {
-                Region pool;
-                pool.name = "bepool";
-                pool.shared = true;
-                pool.members = node.beApps();
                 const auto g = lc.size();
-                pool.res = {cores[g], ways[g], bw[g]};
-                layout.addRegion(std::move(pool));
+                layout.addRegion({"bepool", true,
+                                  {cores[g], ways[g], bw[g]},
+                                  node.beApps()});
             }
-            const auto rep = steadyStateEntropy(
-                node, layout, perf::CoreSharePolicy::FairShare,
-                cfg);
-            ++local.result.evaluated;
-            if (rep.eS < local.es) {
-                local.es = rep.eS;
-                local.result.layout = layout;
-                local.result.report = rep;
-            }
-        });
-        return local;
-    };
-    exec::ThreadPool &pool =
-        cfg.pool ? *cfg.pool : exec::globalPool();
-    return mergeSplitBests(
-        exec::parallelMap(pool, splits, eval_split));
+            return layout;
+        }};
+    return bestOf(node, family, sim, cfg);
 }
 
 OracleResult
-bestHybridPartition(const Node &node, const OracleConfig &cfg)
+bestHybridPartition(const Node &node, const SimulationConfig &sim,
+                    const OracleConfig &cfg)
 {
     const auto avail = node.config().availableResources();
     const auto &lc = node.lcApps();
-    const int groups = static_cast<int>(lc.size()) + 1;
-
-    // Group 0 is the shared region (min 1 core / 1 way so that BE
-    // members stay viable); iso regions may be empty.
-    std::vector<int> core_mins(static_cast<std::size_t>(groups), 0);
-    std::vector<int> way_mins(static_cast<std::size_t>(groups), 0);
-    core_mins[0] = 1;
-    way_mins[0] = 1;
-
     std::vector<AppId> everyone = lc;
     everyone.insert(everyone.end(), node.beApps().begin(),
                     node.beApps().end());
 
-    const auto splits =
-        allCompositions(avail.cores, core_mins, cfg.coreStep);
-    auto eval_split = [&](const std::vector<int> &cores) {
-        SplitBest local;
-        const auto bw = bwProportionalToCores(cores, avail.memBw);
-        forEachComposition(avail.llcWays, way_mins, cfg.wayStep,
-                           [&](const std::vector<int> &ways) {
+    // Group 0 is the shared region (min 1 core / 1 way so that BE
+    // members stay viable); iso regions may be empty.
+    std::vector<int> mins(lc.size() + 1, 0);
+    mins[0] = 1;
+    const Family family{
+        std::move(mins), perf::CoreSharePolicy::LcPriority,
+        [&](const std::vector<int> &cores, const std::vector<int> &ways,
+            const std::vector<int> &bw) {
             RegionLayout layout(avail);
-            Region shared;
-            shared.name = "shared";
-            shared.shared = true;
-            shared.members = everyone;
-            shared.res = {cores[0], ways[0], bw[0]};
-            layout.addRegion(std::move(shared));
-            for (std::size_t g = 0; g < lc.size(); ++g) {
-                Region r;
-                r.name = "iso" + std::to_string(lc[g]);
-                r.shared = false;
-                r.members = {lc[g]};
-                r.res = {cores[g + 1], ways[g + 1], bw[g + 1]};
-                layout.addRegion(std::move(r));
-            }
-            const auto rep = steadyStateEntropy(
-                node, layout, perf::CoreSharePolicy::LcPriority,
-                cfg);
-            ++local.result.evaluated;
-            if (rep.eS < local.es) {
-                local.es = rep.eS;
-                local.result.layout = layout;
-                local.result.report = rep;
-            }
-        });
-        return local;
-    };
-    exec::ThreadPool &pool =
-        cfg.pool ? *cfg.pool : exec::globalPool();
-    return mergeSplitBests(
-        exec::parallelMap(pool, splits, eval_split));
+            layout.addRegion({"shared", true,
+                              {cores[0], ways[0], bw[0]}, everyone});
+            for (std::size_t g = 0; g < lc.size(); ++g)
+                layout.addRegion(isolated(lc[g], cores[g + 1],
+                                          ways[g + 1], bw[g + 1]));
+            return layout;
+        }};
+    return bestOf(node, family, sim, cfg);
 }
 
 } // namespace ahq::cluster

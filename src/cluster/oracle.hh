@@ -13,9 +13,12 @@
  * value of resource sharing; the gap between a live controller and
  * its family's oracle measures the controller's convergence.
  *
- * The search is deliberately noise-free and backlog-free (steady
- * state), so it bounds what any feedback controller could converge
- * to under the same model.
+ * Candidates are scored with the simulator's own steady-state
+ * model and config (SimulationConfig: RI, tail percentile,
+ * contention tunables, queue cap): no noise, no repartition
+ * overhead, and each app's backlog at its fixed point (empty, or
+ * at the queue cap when saturated). So the optimum bounds what any
+ * feedback controller could converge to under the same model.
  */
 
 #ifndef AHQ_CLUSTER_ORACLE_HH
@@ -23,6 +26,7 @@
 
 #include <vector>
 
+#include "cluster/epoch_sim.hh"
 #include "cluster/node.hh"
 #include "core/entropy.hh"
 #include "machine/layout.hh"
@@ -35,7 +39,7 @@ class ThreadPool;
 namespace ahq::cluster
 {
 
-/** Search configuration. */
+/** Search knobs; the model's knobs come from a SimulationConfig. */
 struct OracleConfig
 {
     /** Granularity of way enumeration (ways move in these steps). */
@@ -43,15 +47,6 @@ struct OracleConfig
 
     /** Granularity of core enumeration. */
     int coreStep = 1;
-
-    /** Relative importance for the entropy objective. */
-    double ri = core::kDefaultRelativeImportance;
-
-    /** Tail percentile of the latency model. */
-    double tailPercentile = 0.95;
-
-    /** Contention model tunables. */
-    perf::ContentionTraits contention;
 
     /**
      * Pool the search fans out on (the outer core-split loop);
@@ -74,26 +69,29 @@ struct OracleResult
 };
 
 /**
- * Steady-state entropy of one candidate layout (no noise, no
- * backlog, no repartition overhead) — the objective the oracle
- * minimises, exposed for tests and custom searches.
+ * Steady-state entropy of one candidate layout — the objective the
+ * oracle minimises, exposed for tests and custom searches. With
+ * noise and repartition overhead off, it equals the E_S the epoch
+ * simulator settles at on a held layout.
  *
  * @param node The colocation.
  * @param layout Candidate layout.
  * @param policy Core-sharing policy for shared regions.
- * @param cfg Search configuration (model knobs).
+ * @param sim Model knobs: ri, tailPercentile, contention and
+ *        queueCapSeconds.
  */
 core::EntropyReport
 steadyStateEntropy(const Node &node,
                    const machine::RegionLayout &layout,
                    perf::CoreSharePolicy policy,
-                   const OracleConfig &cfg = {});
+                   const SimulationConfig &sim = {});
 
 /**
  * Best fully-isolated static partition: one exclusive region per LC
  * app plus one BE pool (FairShare inside the pool).
  */
 OracleResult bestIsolatedPartition(const Node &node,
+                                   const SimulationConfig &sim = {},
                                    const OracleConfig &cfg = {});
 
 /**
@@ -102,6 +100,7 @@ OracleResult bestIsolatedPartition(const Node &node,
  * in the shared region (the ARQ family).
  */
 OracleResult bestHybridPartition(const Node &node,
+                                 const SimulationConfig &sim = {},
                                  const OracleConfig &cfg = {});
 
 } // namespace ahq::cluster

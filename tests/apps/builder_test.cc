@@ -27,8 +27,8 @@ TEST(AppBuilder, BuildsCalibratedLcProfile)
     EXPECT_TRUE(p.latencyCritical);
     EXPECT_EQ(p.threads, 4);
     // Anchors reproduced by the calibration.
-    EXPECT_NEAR(p.soloTailP95Ms(0.2), 3.0, 0.03);
-    EXPECT_NEAR(p.soloTailP95Ms(1.0), 8.0, 0.08);
+    EXPECT_NEAR(p.soloTailPercentileMs(0.2, 0.95), 3.0, 0.03);
+    EXPECT_NEAR(p.soloTailPercentileMs(1.0, 0.95), 8.0, 0.08);
     EXPECT_NEAR(p.cpi.mrc().mpkiMax(), 18.0, 1e-12);
 }
 

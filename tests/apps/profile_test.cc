@@ -23,8 +23,8 @@ TEST(Calibration, ReproducesPublishedConstants)
     CalibrationTargets t{2000.0, 8.0, 3.0};
     calibrateLcProfile(p, t);
 
-    EXPECT_NEAR(p.soloTailP95Ms(0.2), 3.0, 0.02);
-    EXPECT_NEAR(p.soloTailP95Ms(1.0), 8.0, 0.05);
+    EXPECT_NEAR(p.soloTailPercentileMs(0.2, 0.95), 3.0, 0.02);
+    EXPECT_NEAR(p.soloTailPercentileMs(1.0, 0.95), 8.0, 0.05);
     EXPECT_EQ(p.maxLoadQps, 2000.0);
     EXPECT_EQ(p.tailThresholdMs, 8.0);
 }
@@ -52,7 +52,7 @@ TEST(Profile, SoloTailMonotoneInLoad)
     const AppProfile p = moses();
     double prev = 0.0;
     for (double load = 0.1; load <= 0.95; load += 0.05) {
-        const double t = p.soloTailP95Ms(load);
+        const double t = p.soloTailPercentileMs(load, 0.95);
         EXPECT_GE(t, prev);
         prev = t;
     }
@@ -63,7 +63,7 @@ TEST(Profile, SoloTailInfiniteBeyondSaturation)
     const AppProfile p = xapian();
     // Max load is at the knee (p95 = M), not saturation; far beyond
     // the queue is genuinely unstable.
-    EXPECT_TRUE(std::isinf(p.soloTailP95Ms(5.0)));
+    EXPECT_TRUE(std::isinf(p.soloTailPercentileMs(5.0, 0.95)));
 }
 
 TEST(Profile, ToDemandCopiesFields)
@@ -90,9 +90,62 @@ TEST(Profile, BeToDemandHasNoArrivals)
 TEST(Percentile, P95MethodsAgree)
 {
     const AppProfile p = xapian();
-    EXPECT_NEAR(p.soloTailPercentileMs(0.4, 0.95),
-                p.soloTailP95Ms(0.4), 1e-9);
     EXPECT_NEAR(p.svcMultAt(0.95), p.svcP95Mult, 1e-12);
+}
+
+/** A solo outcome: `threads` servers at speed 1, no timeslicing. */
+ahq::perf::PerfOutcome
+soloOutcome(const AppProfile &p)
+{
+    ahq::perf::PerfOutcome out;
+    out.coreEquivalents = p.threads;
+    out.perServerRate = 1000.0 / p.serviceTimeMs;
+    out.serviceRate = p.threads * out.perServerRate;
+    return out;
+}
+
+TEST(MeasuredTail, SoloOutcomeReproducesSoloTail)
+{
+    // TL_i1 on the solo machine is TL_i0, bit for bit.
+    const AppProfile p = xapian();
+    for (double pct : {0.5, 0.95, 0.99}) {
+        EXPECT_EQ(p.measuredTailMs(soloOutcome(p), p.arrivalRate(0.4),
+                                   0.0, pct),
+                  p.soloTailPercentileMs(0.4, pct));
+    }
+}
+
+TEST(MeasuredTail, BacklogAddsItsDrainTime)
+{
+    const AppProfile p = moses();
+    const auto out = soloOutcome(p);
+    const double lambda = p.arrivalRate(0.5);
+    const double base = p.measuredTailMs(out, lambda, 0.0, 0.95);
+    EXPECT_NEAR(p.measuredTailMs(out, lambda, 10.0, 0.95) - base,
+                1000.0 * 10.0 / out.serviceRate, 1e-9);
+}
+
+TEST(MeasuredTail, ColdStartSlowsService)
+{
+    const AppProfile p = imgDnn();
+    const auto out = soloOutcome(p);
+    const double lambda = p.arrivalRate(0.5);
+    EXPECT_GT(p.measuredTailMs(out, lambda, 0.0, 0.95, 1.5),
+              p.measuredTailMs(out, lambda, 0.0, 0.95));
+}
+
+TEST(MeasuredTail, SaturationStaysFinite)
+{
+    // Arrivals past capacity are clamped to 98% of it: the tail is
+    // finite and grows with the carried backlog, unlike the solo
+    // tail, which diverges.
+    const AppProfile p = xapian();
+    const auto out = soloOutcome(p);
+    const double lambda = p.arrivalRate(5.0);
+    EXPECT_TRUE(std::isinf(p.soloTailPercentileMs(5.0, 0.95)));
+    const double t = p.measuredTailMs(out, lambda, 0.0, 0.95);
+    EXPECT_TRUE(std::isfinite(t));
+    EXPECT_GT(p.measuredTailMs(out, lambda, 100.0, 0.95), t);
 }
 
 TEST(Percentile, HigherPercentileIsSlower)
@@ -124,11 +177,12 @@ TEST_P(LcCalibrationSweep, AnchorsReproduced)
     const AppProfile p = byName(GetParam());
     ASSERT_TRUE(p.latencyCritical);
     // Anchor 1: p95 at max load equals the threshold (Table IV).
-    EXPECT_NEAR(p.soloTailP95Ms(1.0) / p.tailThresholdMs, 1.0, 0.01)
+    EXPECT_NEAR(p.soloTailPercentileMs(1.0, 0.95) / p.tailThresholdMs,
+                1.0, 0.01)
         << p.name;
     // Anchor 2: the ideal tail at 20% load sits strictly below the
     // threshold with room to breathe (A_i > 0).
-    const double tl0 = p.soloTailP95Ms(0.2);
+    const double tl0 = p.soloTailPercentileMs(0.2, 0.95);
     EXPECT_LT(tl0, p.tailThresholdMs) << p.name;
     EXPECT_GT(tl0, 0.0) << p.name;
 }
@@ -138,9 +192,9 @@ TEST_P(LcCalibrationSweep, KneeShape)
     // Fig. 7: flat-then-exponential. The p95 growth from 20% to 60%
     // load must be much smaller than from 60% to 100%.
     const AppProfile p = byName(GetParam());
-    const double lo = p.soloTailP95Ms(0.2);
-    const double mid = p.soloTailP95Ms(0.6);
-    const double hi = p.soloTailP95Ms(1.0);
+    const double lo = p.soloTailPercentileMs(0.2, 0.95);
+    const double mid = p.soloTailPercentileMs(0.6, 0.95);
+    const double hi = p.soloTailPercentileMs(1.0, 0.95);
     EXPECT_LT(mid - lo, hi - mid) << p.name;
 }
 

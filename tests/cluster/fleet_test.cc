@@ -57,21 +57,51 @@ TEST(Fleet, PooledEntropyMatchesManualComputation)
     const auto r2 = EpochSimulator(n2, quick()).run(s2);
 
     FleetAccumulator acc;
-    acc.add(n1, r1);
-    acc.add(n2, r2);
+    acc.add(n1, r1, quick().tailPercentile);
+    acc.add(n2, r2, quick().tailPercentile);
     const auto rep = acc.entropy();
     EXPECT_EQ(rep.lcDetail.size(), 2u);
 
     std::vector<core::LcObservation> lc{
-        {n1.profile(0).soloTailP95Ms(0.2), r1.meanP95Ms[0],
-         n1.profile(0).tailThresholdMs},
-        {n2.profile(0).soloTailP95Ms(0.3), r2.meanP95Ms[0],
-         n2.profile(0).tailThresholdMs}};
+        {n1.profile(0).soloTailPercentileMs(0.2, 0.95),
+         r1.meanP95Ms[0], n1.profile(0).tailThresholdMs},
+        {n2.profile(0).soloTailPercentileMs(0.3, 0.95),
+         r2.meanP95Ms[0], n2.profile(0).tailThresholdMs}};
     std::vector<core::BeObservation> be_obs{
         {n1.profile(1).ipcSolo, r1.meanIpc[1]},
         {n2.profile(1).ipcSolo, r2.meanIpc[1]}};
     const auto manual = core::computeEntropy(lc, be_obs);
     EXPECT_NEAR(rep.eS, manual.eS, 1e-9);
+}
+
+/**
+ * The pooled solo reference TL_i0 is taken at the run's tail
+ * percentile: a p99 fleet pools xapian's p99 solo tail at 30% load
+ * (4.064 ms), not its p95 one (2.770 ms). E_S follows TL_i0 only
+ * once TL_i0 >= M_i — below that Q_i reads TL_i1 and M_i alone —
+ * so the pooled observation itself is checked, next to the E_S it
+ * yields.
+ */
+TEST(Fleet, PoolsTheSoloTailAtTheRunsPercentile)
+{
+    const Node node(machine::MachineConfig::xeonE52630v4(),
+                    {lcAt(apps::xapian(), 0.3), be(apps::stream())});
+    SimulationConfig cfg = quick();
+    cfg.tailPercentile = 0.99;
+    Fleet fleet;
+    fleet.addNode(node, std::make_unique<sched::Arq>());
+    const auto res = fleet.run(cfg);
+
+    FleetAccumulator acc;
+    acc.add(node, res.nodes[0], cfg.tailPercentile);
+    ASSERT_EQ(acc.lc.size(), 1u);
+    const double load = res.nodes[0].steadyMeanLoad[0];
+    EXPECT_EQ(acc.lc[0].idealTailMs,
+              node.profile(0).soloTailPercentileMs(load, 0.99));
+    EXPECT_NEAR(acc.lc[0].idealTailMs, 4.064, 5e-4);
+    EXPECT_NEAR(node.profile(0).soloTailPercentileMs(load, 0.95),
+                2.770, 5e-4);
+    EXPECT_EQ(acc.entropy(cfg.ri).eS, res.eS);
 }
 
 TEST(Fleet, BetterSchedulersLowerFleetEntropy)

@@ -121,9 +121,9 @@ TEST(ParallelDeterminism, OracleSearchMatchesSerial)
     parallel_cfg.pool = &parallel_pool;
 
     const auto iso_s =
-        cluster::bestIsolatedPartition(node, serial_cfg);
+        cluster::bestIsolatedPartition(node, {}, serial_cfg);
     const auto iso_p =
-        cluster::bestIsolatedPartition(node, parallel_cfg);
+        cluster::bestIsolatedPartition(node, {}, parallel_cfg);
     EXPECT_EQ(iso_s.evaluated, iso_p.evaluated);
     EXPECT_DOUBLE_EQ(iso_s.report.eS, iso_p.report.eS);
     EXPECT_DOUBLE_EQ(iso_s.report.eLc, iso_p.report.eLc);
@@ -131,9 +131,9 @@ TEST(ParallelDeterminism, OracleSearchMatchesSerial)
     EXPECT_EQ(iso_s.layout.toString(), iso_p.layout.toString());
 
     const auto hyb_s =
-        cluster::bestHybridPartition(node, serial_cfg);
+        cluster::bestHybridPartition(node, {}, serial_cfg);
     const auto hyb_p =
-        cluster::bestHybridPartition(node, parallel_cfg);
+        cluster::bestHybridPartition(node, {}, parallel_cfg);
     EXPECT_EQ(hyb_s.evaluated, hyb_p.evaluated);
     EXPECT_DOUBLE_EQ(hyb_s.report.eS, hyb_p.report.eS);
     EXPECT_EQ(hyb_s.layout.toString(), hyb_p.layout.toString());

@@ -204,21 +204,6 @@ TEST(SojournPercentile, MoreServersSameUtilHelps)
     EXPECT_LT(t8, t2);
 }
 
-TEST(Backlog, AddsDrainDelay)
-{
-    const double base = mmcSojournPercentile(2.0, 1.0, 1.0, 0.95);
-    const double with = mmcSojournPercentileWithBacklog(
-        2.0, 1.0, 1.0, 10.0, 0.95);
-    EXPECT_NEAR(with, base + 10.0 / 2.0, 1e-9);
-}
-
-TEST(Backlog, UnstableStaysInfinite)
-{
-    EXPECT_EQ(mmcSojournPercentileWithBacklog(1.0, 2.0, 1.0, 5.0,
-                                              0.95),
-              kInf);
-}
-
 TEST(ApproxSojourn, MatchesExactForExponentialService)
 {
     // With svc_pmult = ln(20) (the exponential p95 multiplier), the

@@ -74,7 +74,10 @@ TEST(Bootstrap, CustomStatistic)
     const auto ci = bootstrapCi(
         s,
         [](const std::vector<double> &v) {
-            return ahq::stats::harmonicMean(v);
+            double inv = 0.0;
+            for (double x : v)
+                inv += 1.0 / x;
+            return static_cast<double>(v.size()) / inv;
         },
         rng);
     // HM of U(0,1) samples is below the arithmetic mean.

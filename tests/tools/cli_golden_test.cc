@@ -6,10 +6,12 @@
  * are folded back by every trace-reading verb (trace, timeline,
  * profile, why, alerts, report, experiment analyze|verdict) in
  * every --format and in both flag spellings, and each invocation's
- * exit code and stdout are folded into one FNV-1a hash. `ahq help`
- * and the stdout of the simulate and experiment runs are pinned the
- * same way. Trace paths are replaced by placeholders before
- * hashing, so the hashes do not depend on the temp directory.
+ * exit code and stdout are folded into one FNV-1a hash. `ahq help`,
+ * the stdout of the simulate and experiment runs, and four `ahq
+ * oracle` searches (saturated, p99 and a small machine among them)
+ * are pinned the same way. Trace paths are replaced by
+ * placeholders before hashing, so the hashes do not depend on the
+ * temp directory.
  *
  * The expected hashes were recorded before the verbs moved onto the
  * shared front end (tools/front_end.hh); a byte any verb prints
@@ -291,6 +293,23 @@ TEST_F(CliGolden, ExperimentAnalyzeAndVerdict)
         {{"experiment", "verdict", "--resamples", "30", "@EXP"},
          0xe72890156f60f63bULL},
         {{"experiment", "analyze", "@SIM"}, 0x07f8bc07b4ba5002ULL},
+    });
+}
+
+TEST_F(CliGolden, Oracle)
+{
+    // Recorded before the oracle moved onto the simulator's tail
+    // model and config; the search must print the same bytes.
+    expectGolden({
+        {{"oracle", "xapian=0.7", "stream"}, 0x6c1bc0fa717d5ab2ULL},
+        {{"oracle", "xapian=1.5", "moses=0.9", "stream"},
+         0x8c04a8e2f495e24eULL},
+        {{"oracle", "--percentile", "0.99", "xapian=0.5", "moses=0.2",
+          "stream"},
+         0xfe9c206d74a1ec52ULL},
+        {{"oracle", "--cores", "4", "--ways", "6", "--bw", "4",
+          "xapian=1.2", "img-dnn=0.8", "fluidanimate"},
+         0x8acf73b67e04a432ULL},
     });
 }
 

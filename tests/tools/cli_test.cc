@@ -327,6 +327,30 @@ TEST(CliOracle, EndToEnd)
 }
 
 
+TEST(CliOracle, RiAndPercentileReachTheSearch)
+{
+    // The oracle scores layouts with the simulator's config, so
+    // --ri (Eq. 7's weight) and --percentile must move its E_S.
+    auto es_lines = [](std::vector<std::string> argv) {
+        argv.insert(argv.begin(), "oracle");
+        for (const char *a :
+             {"--waystep", "4", "xapian=0.5", "moses=0.2", "stream"})
+            argv.push_back(a);
+        std::ostringstream out, err;
+        EXPECT_EQ(dispatch(argv, out, err), 0) << err.str();
+        std::istringstream lines(out.str());
+        std::string line, es;
+        while (std::getline(lines, line))
+            if (line.find("E_S") != std::string::npos)
+                es += line + "\n";
+        return es;
+    };
+    const std::string ri_low = es_lines({"--ri", "0.2"});
+    EXPECT_FALSE(ri_low.empty());
+    EXPECT_NE(ri_low, es_lines({"--ri", "0.8"}));
+    EXPECT_NE(es_lines({"--percentile", "0.99"}), es_lines({}));
+}
+
 TEST(CliSweep, EndToEnd)
 {
     std::ostringstream out, err;

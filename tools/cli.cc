@@ -392,12 +392,13 @@ runOracle(const std::vector<std::string> &args, std::ostream &out,
         applyJobs(opt);
         const cluster::Node node = nodeFor(opt);
 
+        const auto sim = simulationConfigFor(opt);
         cluster::OracleConfig ocfg;
         ocfg.wayStep = way_step;
-        ocfg.tailPercentile = opt.percentile;
 
-        const auto iso = cluster::bestIsolatedPartition(node, ocfg);
-        const auto hyb = cluster::bestHybridPartition(node, ocfg);
+        const auto iso =
+            cluster::bestIsolatedPartition(node, sim, ocfg);
+        const auto hyb = cluster::bestHybridPartition(node, sim, ocfg);
 
         out << "best fully-isolated partition (E_S = "
             << iso.report.eS << ", " << iso.evaluated
